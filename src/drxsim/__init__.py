@@ -26,18 +26,7 @@ from .analytic import (
     stability_verdict,
 )
 from .controller import ControllerState, q_max_from_bound, update_threshold
-from .drx import (
-    DrxConfig,
-    DrxEvent,
-    Mode,
-    Policy,
-    PolicyKind,
-    ProtocolError,
-    UeState,
-    advance,
-    next_cycle_length,
-    release_condition,
-)
+from .drx import DrxConfig, Policy, PolicyKind
 from .engine import (
     Metrics,
     PacketRecord,
@@ -56,9 +45,7 @@ from .engine import (
 )
 from .traffic import (
     ArrivalStream,
-    RateEstimate,
     TraceFormatError,
-    ema_rate_update,
     gen_pareto,
     gen_poisson,
     gen_schedule,

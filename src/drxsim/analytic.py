@@ -182,38 +182,14 @@ def mean_wait_poisson_raw(lam: float, mu: float, var_s: float, q_w: float,
                           t_w: float, gamma: float) -> float:
     """Poisson-traffic mean queueing delay from explicit (t_w, gamma).
 
-    ``E[W] = [1 + lam^2 var_s + (1-rho)^2] / [2 lam (1-rho)]
-             - (q-1) / (lam q)
-             + [(q + a)^2 - q - 2(a + g)] / [2 lam (q + a + g - 1)]``
-
-    with ``a = lam * t_w``.  This is exactly the general model with the
-    Poisson moments substituted.
+    The general model with the Poisson moments substituted: inter-arrival
+    variance ``1/lam^2`` and the vacation moments of
+    ``poisson_vacation_moments``.
     """
     if lam <= 0 or mu <= 0:
         raise ValueError("lam and mu must be > 0")
-    if lam >= mu:
-        raise StabilityError(
-            f"utilisation {lam / mu:.3f} >= 1; queue is unstable"
-        )
-    if q_w < 1:
-        raise ValueError(f"q_w must be >= 1, got {q_w}")
-    if gamma < 1.0:
-        raise ValueError(f"gamma must be >= 1, got {gamma}")
-    rho = lam / mu
-    a = lam * t_w
-    base = (1.0 + lam**2 * var_s + (1.0 - rho) ** 2) / (2.0 * lam * (1.0 - rho))
-    thresh = -(q_w - 1.0) / (lam * q_w)
-    if math.isinf(gamma):
-        vac = -1.0 / lam
-    elif gamma > _BIG_GAMMA:
-        vac = (((q_w + a) ** 2 - q_w - 2.0 * a) / gamma - 2.0) / (
-            2.0 * lam * ((q_w + a - 1.0) / gamma + 1.0)
-        )
-    else:
-        vac = ((q_w + a) ** 2 - q_w - 2.0 * (a + gamma)) / (
-            2.0 * lam * (q_w + a + gamma - 1.0)
-        )
-    return base + thresh + vac
+    return mean_wait_general(TrafficMoments(lam, mu, 1.0 / lam**2, var_s), q_w,
+                             poisson_vacation_moments(lam, q_w, t_w, gamma))
 
 
 def mean_wait_poisson(lam: float, mu: float, var_s: float, q_w: float,
@@ -290,15 +266,10 @@ class StabilityVerdict:
 
 
 def _upper_margin(lam: float, q: float, t_w: float, gamma: float) -> float:
-    # First stability inequality, rearranged as LHS < 1.
+    # First stability inequality, rearranged as LHS < 1.  The second
+    # inequality's LHS is exactly its negation.
     a = lam * t_w
     return (a - gamma * (gamma + 1.0)) / (q + a + gamma - 1.0) ** 2 - 2.0 / q**2
-
-
-def _lower_lhs(lam: float, q: float, t_w: float, gamma: float) -> float:
-    # Second stability inequality LHS; the loop gains positive slope iff < 1.
-    a = lam * t_w
-    return 2.0 / q**2 - (a - gamma * (gamma + 1.0)) / (q + a + gamma - 1.0) ** 2
 
 
 def stability_verdict(lam: float, q_w_star: float, t_w: float,
@@ -330,16 +301,16 @@ def stability_verdict(lam: float, q_w_star: float, t_w: float,
             return StabilityVerdict(Stability.STABLE, crossing)
         return StabilityVerdict(Stability.CONDITIONALLY_STABLE, crossing)
 
-    # lhs is strictly decreasing in q here, so bisection is sound.
-    if _lower_lhs(lam, 1.0, t_w, gamma) < 1.0:
+    # -_upper_margin is strictly decreasing in q here, so bisection is sound.
+    if -_upper_margin(lam, 1.0, t_w, gamma) < 1.0:
         crossing = 1.0
-    elif _lower_lhs(lam, _CROSSING_HI, t_w, gamma) >= 1.0:
+    elif -_upper_margin(lam, _CROSSING_HI, t_w, gamma) >= 1.0:
         return StabilityVerdict(Stability.CONDITIONALLY_STABLE, math.inf)
     else:
         lo, hi = 1.0, _CROSSING_HI
         while hi - lo > _CROSSING_TOL:
             mid = 0.5 * (lo + hi)
-            if _lower_lhs(lam, mid, t_w, gamma) < 1.0:
+            if -_upper_margin(lam, mid, t_w, gamma) < 1.0:
                 hi = mid
             else:
                 lo = mid

@@ -43,20 +43,21 @@ import io
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import analytic
 from .drx import DrxConfig, Policy, PolicyKind
 from .engine import (
+    Metrics,
     ParetoTraffic,
     PoissonTraffic,
     Scenario,
     ScheduleTraffic,
     TraceTraffic,
-    confidence_interval,
     replicate,
     run_detailed,
     slice_stats,
+    summarize,
 )
 
 CSV_COLUMNS = (
@@ -93,30 +94,6 @@ class SpecError(ValueError):
 
 
 @dataclass(frozen=True, slots=True)
-class RateSchedule:
-    """Piecewise-constant rate: ((duration ms, rate packets/ms), ...)."""
-
-    segments: tuple[tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        if not self.segments:
-            raise ValueError("schedule needs at least one segment")
-        for dur, rate in self.segments:
-            if dur <= 0:
-                raise ValueError(f"segment duration must be > 0, got {dur}")
-            if rate <= 0:
-                raise ValueError(f"segment rate must be > 0, got {rate}")
-
-    @property
-    def total_duration(self) -> float:
-        return sum(d for d, _ in self.segments)
-
-    @property
-    def mean_rate(self) -> float:
-        return sum(d * r for d, r in self.segments) / self.total_duration
-
-
-@dataclass(frozen=True, slots=True)
 class ExperimentSpec:
     cfg: DrxConfig
     horizon: float
@@ -129,7 +106,7 @@ class ExperimentSpec:
     rates: tuple[float, ...] | None = None
     shape: float | None = None
     trace: str | None = None
-    schedule: RateSchedule | None = None
+    schedule: ScheduleTraffic | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -283,7 +260,7 @@ def parse_spec(text: str) -> ExperimentSpec:
             segs.append((_as_float(dur, line, "segments"),
                          _as_float(rate, line, "segments")))
         try:
-            schedule = RateSchedule(tuple(segs))
+            schedule = ScheduleTraffic(tuple(segs))
         except ValueError as e:
             raise SpecError(str(e), line, "segments") from None
 
@@ -341,6 +318,25 @@ def _policy_columns(p: Policy) -> tuple[float | None, float | None]:
     return None, p.w_star
 
 
+def _row(spec: ExperimentSpec, scenario_id: str, policy: Policy,
+         rate: float | None, per_seed: list[tuple[float, float, float]],
+         saturated: bool) -> ResultRow:
+    delay, sleep, qw = summarize(per_seed, spec.confidence)
+    q_col, w_col = _policy_columns(policy)
+    return ResultRow(
+        scenario_id, _policy_label(policy), rate, q_col, w_col,
+        delay.mean, delay.ci_half_width, sleep.mean, sleep.ci_half_width,
+        qw.mean, qw.ci_half_width, saturated,
+    )
+
+
+def _overall(spec: ExperimentSpec, scenario_id: str, policy: Policy,
+             rate: float, metrics: list[Metrics]) -> ResultRow:
+    per_seed = [(m.mean_delay, m.sleep_fraction, m.mean_q_w) for m in metrics]
+    return _row(spec, scenario_id, policy, rate, per_seed,
+                any(m.saturated for m in metrics))
+
+
 def _sweep_rows(spec: ExperimentSpec, policy: Policy,
                 rate: float | None) -> list[ResultRow]:
     if spec.kind == "poisson":
@@ -357,26 +353,18 @@ def _sweep_rows(spec: ExperimentSpec, policy: Policy,
 
     scenario = Scenario(spec.cfg, policy, traffic, spec.horizon, spec.psf)
     metrics = replicate(scenario, spec.seeds)
-    delay = confidence_interval([m.mean_delay for m in metrics], spec.confidence)
-    sleep = confidence_interval([m.sleep_fraction for m in metrics], spec.confidence)
-    qw = confidence_interval([m.mean_q_w for m in metrics], spec.confidence)
     if rate is None:
         rate = metrics[0].arrivals / spec.horizon  # empirical, trace replay
-    q_col, w_col = _policy_columns(policy)
-    return [ResultRow(
-        scenario_id, _policy_label(policy), rate, q_col, w_col,
-        delay.mean, delay.ci_half_width, sleep.mean, sleep.ci_half_width,
-        qw.mean, qw.ci_half_width, any(m.saturated for m in metrics),
-    )]
+    return [_overall(spec, scenario_id, policy, rate, metrics)]
 
 
 def _schedule_rows(spec: ExperimentSpec, policy: Policy) -> list[ResultRow]:
     sched = spec.schedule
     horizon = min(spec.horizon, sched.total_duration)
-    scenario = Scenario(spec.cfg, policy, ScheduleTraffic(sched.segments),
-                        horizon, spec.psf)
+    scenario = Scenario(spec.cfg, policy, sched, horizon, spec.psf)
     results = [run_detailed(scenario, s) for s in spec.seeds]
-    q_col, w_col = _policy_columns(policy)
+    metrics = [r.metrics for r in results]
+    saturated = any(m.saturated for m in metrics)
 
     rows: list[ResultRow] = []
     start = 0.0
@@ -384,28 +372,14 @@ def _schedule_rows(spec: ExperimentSpec, policy: Policy) -> list[ResultRow]:
         end = min(start + dur, horizon)
         if end <= start:
             break
-        per_seed = [slice_stats(r, start, end) for r in results]
-        delay = confidence_interval([p[0] for p in per_seed], spec.confidence)
-        sleep = confidence_interval([p[1] for p in per_seed], spec.confidence)
-        qw = confidence_interval([p[2] for p in per_seed], spec.confidence)
-        rows.append(ResultRow(
-            f"schedule[{idx}]:{start / 1000.0:g}-{end / 1000.0:g}s",
-            _policy_label(policy), rate, q_col, w_col,
-            delay.mean, delay.ci_half_width, sleep.mean, sleep.ci_half_width,
-            qw.mean, qw.ci_half_width,
-            any(m.metrics.saturated for m in results),
+        per_seed = [slice_stats(r, start, end)[:3] for r in results]
+        rows.append(_row(
+            spec, f"schedule[{idx}]:{start / 1000.0:g}-{end / 1000.0:g}s",
+            policy, rate, per_seed, saturated,
         ))
         start = end
-
-    metrics = [r.metrics for r in results]
-    delay = confidence_interval([m.mean_delay for m in metrics], spec.confidence)
-    sleep = confidence_interval([m.sleep_fraction for m in metrics], spec.confidence)
-    qw = confidence_interval([m.mean_q_w for m in metrics], spec.confidence)
-    rows.append(ResultRow(
-        "schedule:overall", _policy_label(policy), sched.mean_rate, q_col, w_col,
-        delay.mean, delay.ci_half_width, sleep.mean, sleep.ci_half_width,
-        qw.mean, qw.ci_half_width, any(m.saturated for m in metrics),
-    ))
+    rows.append(_overall(spec, "schedule:overall", policy, sched.mean_rate,
+                         metrics))
     return rows
 
 
@@ -476,13 +450,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.seeds is not None:
         if args.seeds < 2:
             raise SpecError("--seeds must be >= 2")
-        spec = ExperimentSpec(
-            cfg=spec.cfg, horizon=spec.horizon, psf=spec.psf,
-            seeds=tuple(range(1, args.seeds + 1)), confidence=spec.confidence,
-            output=spec.output, kind=spec.kind, policies=spec.policies,
-            rates=spec.rates, shape=spec.shape, trace=spec.trace,
-            schedule=spec.schedule,
-        )
+        spec = replace(spec, seeds=tuple(range(1, args.seeds + 1)))
     rows = run_experiment(spec, jobs=args.jobs)
     out_path = args.out or spec.output
     if out_path:

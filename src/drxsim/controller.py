@@ -27,7 +27,6 @@ class ControllerState:
     q_w: float
     q_max: float
     w_star: float
-    cycle_count: int = 0
 
     def __post_init__(self) -> None:
         if self.q_max < 1:
@@ -38,8 +37,6 @@ class ControllerState:
             )
         if self.w_star <= 0:
             raise ValueError(f"w_star must be > 0, got {self.w_star}")
-        if self.cycle_count < 0:
-            raise ValueError("cycle_count must be >= 0")
 
 
 def q_max_from_bound(w_max: float, s_max: float) -> float:
@@ -71,4 +68,4 @@ def update_threshold(cs: ControllerState, lambda_hat: float,
         raise ValueError(f"w_hat must be >= 0, got {w_hat}")
     raw = cs.q_w + 2.0 * lambda_hat * (cs.w_star - w_hat)
     clamped = min(max(raw, 1.0), cs.q_max)
-    return ControllerState(clamped, cs.q_max, cs.w_star, cs.cycle_count + 1)
+    return ControllerState(clamped, cs.q_max, cs.w_star)

@@ -1,44 +1,18 @@
-"""Core DRX domain types and the pure UE state-transition function.
+"""Core DRX domain types: the timer configuration and the release policies.
 
-Everything in this module is a plain value type or a pure function, so it can
-be shared freely between concurrent simulation instances.  The simulation
-engine computes DRX timing arithmetically for speed, but its behaviour must
-agree with ``advance`` on every (mode, event) pair; the unit tests enumerate
-them all.
+Both are immutable value types, so they can be shared freely between
+concurrent simulation instances.
 
 Timeline convention: a DRX cycle of length L consists of a low-power period
 of ``L - t_on`` followed by an on-duration of ``t_on`` that closes the cycle.
-``UeState.cycle_index`` counts *completed* cycles since DRX was enabled, so it
-is incremented when an on-duration ends.
+The engine resolves this geometry arithmetically (``engine._CycleGeometry``);
+the test suite checks it against an event-by-event UE state machine.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-
-
-class ProtocolError(RuntimeError):
-    """An illegal (mode, event) pair reached the UE state machine.
-
-    This always signals a bug in the caller (the simulator), never a property
-    of the simulated scenario, so it must not be swallowed.
-    """
-
-
-class Mode(Enum):
-    ACTIVE = "active"
-    INACTIVITY_COUNTDOWN = "inactivity_countdown"
-    SLEEPING = "sleeping"
-    ON_DURATION = "on_duration"
-
-
-class DrxEvent(Enum):
-    INACTIVITY_EXPIRY = "inactivity_expiry"
-    ON_DURATION_START = "on_duration_start"
-    ON_DURATION_END = "on_duration_end"
-    RELEASE_TRIGGERED = "release_triggered"
 
 
 class PolicyKind(Enum):
@@ -116,106 +90,3 @@ class Policy:
         return cls(PolicyKind.ADAPTIVE_COALESCING, w_star=w_star, w_max=w_max)
 
 
-@dataclass(frozen=True, slots=True)
-class UeState:
-    """Snapshot of the UE DRX machine.
-
-    ``cycle_index`` is the number of completed DRX cycles since DRX was last
-    enabled; it resets to 0 whenever DRX is disabled.  ``next_event_at`` is
-    the absolute time (ms) of the next scheduled autonomous transition, or
-    ``inf`` when the next event is driven by traffic instead of a timer.
-    """
-
-    mode: Mode
-    cycle_index: int = 0
-    next_event_at: float = math.inf
-
-
-def initial_state(cfg: DrxConfig, now: float = 0.0) -> UeState:
-    """State at simulation start: idle, inactivity timer running from `now`."""
-    return UeState(Mode.INACTIVITY_COUNTDOWN, 0, now + cfg.t_in)
-
-
-def next_cycle_length(cycle_index: int, cfg: DrxConfig) -> float:
-    """Length of the DRX cycle that follows `cycle_index` completed cycles."""
-    if cycle_index < 0:
-        raise ValueError(f"cycle_index must be >= 0, got {cycle_index}")
-    return cfg.t_short if cycle_index < cfg.n_short else cfg.t_long
-
-
-def release_condition(
-    queue_len: int, policy: Policy, current_q_w: float | None = None
-) -> bool:
-    """Should the eNB start transmitting to a UE with `queue_len` packets queued?
-
-    Standard DRX transmits on any backlog.  Coalescing policies hold traffic
-    until the backlog reaches the threshold; the threshold is a positive real
-    (the adaptive controller produces reals) and the comparison quantizes it
-    with a ceiling only here, at the comparison.
-    """
-    if queue_len < 0:
-        raise ValueError(f"queue_len must be >= 0, got {queue_len}")
-    if policy.kind is PolicyKind.STANDARD:
-        return queue_len >= 1
-    if policy.kind is PolicyKind.FIXED_COALESCING:
-        return queue_len >= math.ceil(policy.q_w)
-    # adaptive: threshold owned by the controller, supplied by the caller
-    if current_q_w is None:
-        raise ValueError("adaptive policy needs the controller's current q_w")
-    return queue_len >= math.ceil(current_q_w)
-
-
-def advance(state: UeState, event: DrxEvent, cfg: DrxConfig) -> UeState:
-    """Apply one DRX event and return the successor state.
-
-    Legal pairs only:
-
-    ==========================  =======================================
-    event                       legal in mode
-    ==========================  =======================================
-    INACTIVITY_EXPIRY           INACTIVITY_COUNTDOWN
-    ON_DURATION_START           SLEEPING
-    ON_DURATION_END             ON_DURATION
-    RELEASE_TRIGGERED           ON_DURATION or ACTIVE
-    ==========================  =======================================
-
-    Timer events are assumed to fire exactly at ``state.next_event_at``; the
-    returned state carries the next timer deadline so cycles chain without
-    the caller re-deriving the cycle geometry.
-    """
-    mode = state.mode
-    if event is DrxEvent.INACTIVITY_EXPIRY:
-        if mode is not Mode.INACTIVITY_COUNTDOWN:
-            raise ProtocolError(f"{event} illegal in {mode}")
-        t0 = state.next_event_at
-        first = next_cycle_length(0, cfg)
-        return UeState(Mode.SLEEPING, 0, t0 + first - cfg.t_on)
-    if event is DrxEvent.ON_DURATION_START:
-        if mode is not Mode.SLEEPING:
-            raise ProtocolError(f"{event} illegal in {mode}")
-        return UeState(Mode.ON_DURATION, state.cycle_index,
-                       state.next_event_at + cfg.t_on)
-    if event is DrxEvent.ON_DURATION_END:
-        if mode is not Mode.ON_DURATION:
-            raise ProtocolError(f"{event} illegal in {mode}")
-        done = state.cycle_index + 1
-        nxt = next_cycle_length(done, cfg)
-        return UeState(Mode.SLEEPING, done, state.next_event_at + nxt - cfg.t_on)
-    if event is DrxEvent.RELEASE_TRIGGERED:
-        if mode not in (Mode.ON_DURATION, Mode.ACTIVE):
-            raise ProtocolError(f"{event} illegal in {mode}")
-        return UeState(Mode.ACTIVE, 0, math.inf)
-    raise ProtocolError(f"unknown event {event!r}")
-
-
-def enter_countdown(state: UeState, last_tx_end: float, cfg: DrxConfig) -> UeState:
-    """Transition Active -> InactivityCountdown when the queue drains.
-
-    Not an ``advance`` event: it is driven by the queue emptying, not by a
-    DRX timer.  The inactivity deadline is measured from the end of the last
-    transmission, matching the empty-period accounting of the delay model.
-    """
-    if state.mode is not Mode.ACTIVE:
-        raise ProtocolError(f"countdown entry illegal in {state.mode}")
-    return replace(state, mode=Mode.INACTIVITY_COUNTDOWN,
-                   next_event_at=last_tx_end + cfg.t_in)

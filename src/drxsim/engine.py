@@ -5,8 +5,11 @@ seed).  The event loop is organised around the structure of the system
 rather than a generic calendar: packets are served in FIFO order with a
 deterministic one-PSF service, so active periods collapse to a Lindley
 recursion, and DRX phases are resolved arithmetically from the cycle
-geometry.  Every transition taken is one of the legal moves of
-``drx.advance``; the unit tests cross-check the two.
+geometry.  The test suite checks the result against a slow reference that
+steps an explicit UE state machine one event at a time.
+
+The EMA arrival-rate estimate the adaptive controller reads is computed
+here too (``_lambda_hat_series``).
 
 Timing conventions (all ms, continuous time):
 
@@ -58,6 +61,23 @@ class ScheduleTraffic:
     """Piecewise-constant Poisson rate: ((duration ms, rate), ...)."""
 
     segments: tuple[tuple[float, float], ...]
+
+    def __post_init__(self) -> None:
+        if not self.segments:
+            raise ValueError("schedule needs at least one segment")
+        for dur, rate in self.segments:
+            if dur <= 0:
+                raise ValueError(f"segment duration must be > 0, got {dur}")
+            if rate <= 0:
+                raise ValueError(f"segment rate must be > 0, got {rate}")
+
+    @property
+    def total_duration(self) -> float:
+        return sum(d for d, _ in self.segments)
+
+    @property
+    def mean_rate(self) -> float:
+        return sum(d * r for d, r in self.segments) / self.total_duration
 
 
 TrafficKind = PoissonTraffic | ParetoTraffic | TraceTraffic | ScheduleTraffic
@@ -209,8 +229,15 @@ class _CycleGeometry:
 
 
 def _lambda_hat_series(arrivals: Sequence[float], k_ema: float) -> list[float]:
-    # EMA estimate available after each arrival; 0.0 means "none yet".
-    # First gap initialises the estimate directly to 1/gap.
+    """EMA arrival-rate estimate after each arrival; 0.0 means "none yet".
+
+    The first positive gap sets the estimate to ``1/gap``; each later one
+    updates it to ``(1 - w) / gap + w * lambda_hat`` with
+    ``w = exp(-gap / k_ema)``, which lies between the old estimate and
+    ``1/gap``.  The weight decays with the gap, so the average behaves like
+    a fluid average whatever the packetization.  Zero gaps (tied
+    timestamps) leave the estimate unchanged.
+    """
     out = [0.0] * len(arrivals)
     est = 0.0
     prev = -1.0
@@ -385,6 +412,15 @@ def confidence_interval(samples: Sequence[float], level: float) -> SummaryStats:
     return SummaryStats(mean, t_q * sd / math.sqrt(n), n, level)
 
 
+def summarize(per_seed: Sequence[tuple[float, float, float]], level: float
+              ) -> tuple[SummaryStats, SummaryStats, SummaryStats]:
+    """Intervals over per-seed (mean delay, sleep fraction, mean q_w) triples."""
+    delay, sleep, q_w = zip(*per_seed)
+    return (confidence_interval(delay, level),
+            confidence_interval(sleep, level),
+            confidence_interval(q_w, level))
+
+
 def replicate(scenario: Scenario, seeds: Sequence[int]) -> list[Metrics]:
     return [run(scenario, s) for s in seeds]
 
@@ -396,11 +432,8 @@ def run_replicated(
     if len(seeds) < 2:
         raise ValueError(f"need at least 2 seeds, got {len(seeds)}")
     ms = replicate(scenario, seeds)
-    return (
-        confidence_interval([m.mean_delay for m in ms], level),
-        confidence_interval([m.sleep_fraction for m in ms], level),
-        confidence_interval([m.mean_q_w for m in ms], level),
-    )
+    return summarize([(m.mean_delay, m.sleep_fraction, m.mean_q_w)
+                      for m in ms], level)
 
 
 def slice_stats(result: RunResult, start: float, end: float

@@ -1,4 +1,4 @@
-"""Arrival-process generation, trace ingestion and the online rate estimator.
+"""Arrival-process generation and trace ingestion.
 
 Generators are pure functions of (parameters, seed) backed by numpy's PCG64
 generator, so identical inputs always reproduce identical streams, across
@@ -48,25 +48,6 @@ class ArrivalStream:
 
     def __len__(self) -> int:
         return len(self.arrivals)
-
-
-@dataclass(frozen=True, slots=True)
-class RateEstimate:
-    """Exponential-moving-average arrival-rate estimate.
-
-    ``k`` is the averaging window constant in ms; the controller configures
-    it as twice the maximum-delay bound.  ``lambda_hat == 0`` means "no
-    estimate yet".
-    """
-
-    lambda_hat: float
-    k: float
-
-    def __post_init__(self) -> None:
-        if self.k <= 0:
-            raise ValueError(f"k must be > 0, got {self.k}")
-        if self.lambda_hat < 0:
-            raise ValueError(f"lambda_hat must be >= 0, got {self.lambda_hat}")
 
 
 def _accumulate_gaps(rng: np.random.Generator, draw, rate: float,
@@ -205,18 +186,3 @@ def load_trace(source: str | bytes | IO) -> ArrivalStream:
 def serialize_trace(stream: ArrivalStream) -> str:
     """Inverse of ``load_trace`` for valid streams (timestamps only)."""
     return "".join(f"{t!r}\n" for t in stream.arrivals)
-
-
-def ema_rate_update(est: RateEstimate, gap: float) -> RateEstimate:
-    """One step of the variable-weight EMA rate estimator.
-
-    ``lambda_hat' = (1 - e^(-gap/k)) / gap + e^(-gap/k) * lambda_hat``
-
-    The weight decays with the observed gap so the average behaves like a
-    fluid average, independent of how the traffic happens to be packetized.
-    The result always lies between ``lambda_hat`` and ``1/gap``.
-    """
-    if gap <= 0:
-        raise ValueError(f"gap must be > 0, got {gap}")
-    w = math.exp(-gap / est.k)
-    return RateEstimate((1.0 - w) / gap + w * est.lambda_hat, est.k)

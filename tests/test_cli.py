@@ -9,7 +9,6 @@ import pytest
 
 from drxsim.cli import (
     CSV_COLUMNS,
-    RateSchedule,
     SpecError,
     emit_csv,
     main,
@@ -17,6 +16,7 @@ from drxsim.cli import (
     run_experiment,
 )
 from drxsim.drx import PolicyKind
+from drxsim.engine import ScheduleTraffic
 
 MINIMAL = """
 [traffic]
@@ -141,9 +141,11 @@ class TestParsing:
 
     def test_rate_schedule_invariants(self):
         with pytest.raises(ValueError):
-            RateSchedule(())
+            ScheduleTraffic(())
         with pytest.raises(ValueError):
-            RateSchedule(((0.0, 0.1),))
+            ScheduleTraffic(((0.0, 0.1),))
+        with pytest.raises(ValueError):
+            ScheduleTraffic(((100.0, -0.1),))
 
 
 class TestRunExperiment:

@@ -41,7 +41,6 @@ class TestUpdate:
         cs = ControllerState(q_w=10, q_max=128, w_star=64)
         out = update_threshold(cs, lambda_hat=0.5, w_hat=60)
         assert out.q_w == pytest.approx(14.0)
-        assert out.cycle_count == 1
 
     def test_lower_clamp(self):
         cs = ControllerState(q_w=2, q_max=128, w_star=64)

@@ -1,6 +1,7 @@
-"""Unit tests for the DRX domain types and the UE state machine.
+"""Unit tests for the DRX domain types and the reference UE state machine.
 
-Covers:
+The state machine lives in ``tests/drx_reference.py``: the engine does not
+step it, the differential test uses it as the oracle.  Covers:
   - config and policy invariants reject malformed parameters
   - cycle-length schedule (short cycles first, then long)
   - release thresholds, including ceiling quantisation of real thresholds
@@ -14,11 +15,9 @@ import math
 
 import pytest
 
-from drxsim.drx import (
-    DrxConfig,
+from drx_reference import (
     DrxEvent,
     Mode,
-    Policy,
     ProtocolError,
     UeState,
     advance,
@@ -27,6 +26,7 @@ from drxsim.drx import (
     next_cycle_length,
     release_condition,
 )
+from drxsim.drx import DrxConfig, Policy
 
 CFG = DrxConfig(t_in=10, t_on=2, t_short=32, t_long=64, n_short=3)
 

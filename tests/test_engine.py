@@ -1,9 +1,11 @@
 """Unit tests for the simulation engine.
 
 Structural properties (conservation, FIFO order, causality against the DRX
-schedule, work conservation, determinism) are asserted on detail-mode runs;
-where the engine computes DRX timing arithmetically, a hand-scripted arrival
-sequence cross-checks it against the reference state machine in drx.advance.
+schedule, work conservation, determinism) are asserted on detail-mode runs.
+``TestDrxTiming`` pins the arithmetic DRX timing on hand-scripted arrivals
+with window times worked out by hand.  The randomized cross-check against
+the event-by-event state machine of ``tests/drx_reference.py`` is
+``tests/test_differential.py``.
 """
 
 from __future__ import annotations
@@ -130,7 +132,7 @@ class TestDegenerateThreshold:
 
 
 class TestDrxTiming:
-    """Scripted arrivals against window times chained through drx.advance."""
+    """Scripted arrivals against window times worked out by hand."""
 
     def test_release_waits_for_window(self):
         # Idle from 0: DRX enables at t_in = 10. Cycle sleeps 30 then listens
@@ -151,7 +153,7 @@ class TestDrxTiming:
 
     def test_two_phase_window_chain(self):
         # n_short = 3 then long cycles: windows at 40, 72, 104, 168 relative
-        # to t = 0 (enable at 10), matching the advance() chain.
+        # to t = 0 (enable at 10).
         cfg = DrxConfig(t_in=10, t_on=2, t_short=32, t_long=64, n_short=3)
         for arrival, expected in [(11.0, 40.0), (45.0, 72.0), (100.0, 104.0),
                                   (110.0, 168.0)]:
@@ -293,7 +295,8 @@ class TestConfidenceInterval:
         samples = [3.1, 2.7, 3.3, 2.9, 3.0, 3.6, 2.5, 3.2, 2.8, 3.4]
         import statistics
         s = confidence_interval(samples, 0.95)
-        expected = 2.2621571628540993 * statistics.stdev(samples) / math.sqrt(10)
+        # t_{9, 0.975} from the regularized incomplete beta at 30 digits
+        expected = 2.2621571627982055 * statistics.stdev(samples) / math.sqrt(10)
         assert s.ci_half_width == pytest.approx(expected, rel=1e-12)
 
     def test_preconditions(self):

@@ -12,11 +12,10 @@ import math
 import numpy as np
 import pytest
 
+from drxsim.engine import _lambda_hat_series
 from drxsim.traffic import (
     ArrivalStream,
-    RateEstimate,
     TraceFormatError,
-    ema_rate_update,
     gen_pareto,
     gen_poisson,
     gen_schedule,
@@ -150,39 +149,41 @@ class TestTrace:
 
 
 class TestRateEstimator:
-    def test_fixed_point(self):
-        est = RateEstimate(0.1, k=2048.0)
-        out = ema_rate_update(est, gap=10.0)
-        assert out.lambda_hat == pytest.approx(0.1, rel=1e-12)
+    """The EMA series the adaptive controller reads (``engine``).
 
-    def test_from_zero_estimate(self):
-        # (1 - exp(-10/2048)) / 10, evaluated independently at high precision
-        out = ema_rate_update(RateEstimate(0.0, k=2048.0), gap=10.0)
-        assert out.lambda_hat == pytest.approx(4.87091094993691e-4, rel=1e-10)
+    After the first positive gap sets it to ``1/gap``, each gap updates
+    ``lambda_hat' = (1 - e^(-gap/k)) / gap + e^(-gap/k) * lambda_hat``.
+    """
+
+    def test_first_gap_sets_inverse_gap(self):
+        assert _lambda_hat_series([3.0, 7.0], 2048.0) == [0.0, 0.25]
+        assert _lambda_hat_series([3.0, 3.0, 7.0], 2048.0) == [0.0, 0.0, 0.25]
+
+    def test_fixed_point(self):
+        out = _lambda_hat_series([0.0, 10.0, 20.0, 30.0], 2048.0)
+        assert out[2] == pytest.approx(0.1, rel=1e-12)
+        assert out[3] == pytest.approx(0.1, rel=1e-12)
 
     def test_huge_gap_forgets_history(self):
-        out = ema_rate_update(RateEstimate(5.0, k=100.0), gap=1e7)
-        assert out.lambda_hat == pytest.approx(1e-7, rel=1e-6)
+        out = _lambda_hat_series([0.0, 0.2, 0.2 + 1e7], 100.0)
+        assert out[1] == pytest.approx(5.0)
+        assert out[2] == pytest.approx(1e-7, rel=1e-6)
 
     def test_convex_combination_property(self):
+        # Each update lands between the previous estimate and 1/gap.
         rng = np.random.default_rng(99)
         for _ in range(500):
-            lam = float(rng.uniform(1e-4, 2.0))
+            first = float(rng.uniform(0.5, 1e4))
             gap = float(rng.uniform(1e-3, 1e4))
             k = float(rng.uniform(1.0, 1e4))
-            out = ema_rate_update(RateEstimate(lam, k), gap)
-            lo, hi = min(lam, 1.0 / gap), max(lam, 1.0 / gap)
-            assert lo - 1e-15 <= out.lambda_hat <= hi + 1e-15
+            prev, out = _lambda_hat_series([0.0, first, first + gap], k)[1:]
+            lo, hi = min(prev, 1.0 / gap), max(prev, 1.0 / gap)
+            assert lo - 1e-15 <= out <= hi + 1e-15
 
-    def test_gap_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ema_rate_update(RateEstimate(0.1, 100.0), 0.0)
-
-    def test_invariants(self):
-        with pytest.raises(ValueError):
-            RateEstimate(0.1, k=0.0)
-        with pytest.raises(ValueError):
-            RateEstimate(-0.1, k=10.0)
+    def test_zero_gap_leaves_estimate_unchanged(self):
+        # Tied timestamps, as traces can contain, carry no rate information.
+        out = _lambda_hat_series([0.0, 10.0, 10.0, 10.0], 2048.0)
+        assert out[2] == out[3] == out[1] == 0.1
 
 
 class TestArrivalStream:
