@@ -29,7 +29,6 @@ from .controller import ControllerState, q_max_from_bound, update_threshold
 from .drx import DrxConfig, Policy, PolicyKind
 from .engine import (
     Metrics,
-    PacketRecord,
     ParetoTraffic,
     PoissonTraffic,
     RunResult,

@@ -372,7 +372,7 @@ def _schedule_rows(spec: ExperimentSpec, policy: Policy) -> list[ResultRow]:
         end = min(start + dur, horizon)
         if end <= start:
             break
-        per_seed = [slice_stats(r, start, end)[:3] for r in results]
+        per_seed = [slice_stats(r, spec.cfg, start, end)[:3] for r in results]
         rows.append(_row(
             spec, f"schedule[{idx}]:{start / 1000.0:g}-{end / 1000.0:g}s",
             policy, rate, per_seed, saturated,

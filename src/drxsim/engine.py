@@ -8,6 +8,12 @@ recursion, and DRX phases are resolved arithmetically from the cycle
 geometry.  The test suite checks the result against a slow reference that
 steps an explicit UE state machine one event at a time.
 
+Every run returns one ``RunResult``: the metrics, each served packet's
+arrival and transmission start, and each DRX stretch as its enable instant
+(``boundaries``), threshold and end (``stretch_ends``: the release instant,
+or the horizon).  ``slice_stats`` reads the statistics of any time window
+off that shape.
+
 The EMA arrival-rate estimate the adaptive controller reads is computed
 here too (``_lambda_hat_series``).
 
@@ -29,6 +35,7 @@ Timing conventions (all ms, continuous time):
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -99,25 +106,6 @@ class Scenario:
 
 
 @dataclass(frozen=True, slots=True)
-class PacketRecord:
-    """One served packet: queueing delay is ``tx_start - arrival``.
-
-    ``cycle_index`` is the number of DRX-enable instants before ``tx_start``,
-    i.e. the index of the coalescing cycle whose closing boundary follows
-    the transmission (the stretch before the first enable counts as cycle 0).
-    """
-
-    arrival: float
-    tx_start: float
-    tx_end: float
-    cycle_index: int
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.arrival <= self.tx_start < self.tx_end):
-            raise ValueError("need 0 <= arrival <= tx_start < tx_end")
-
-
-@dataclass(frozen=True, slots=True)
 class Metrics:
     """Per-run outputs over [0, horizon)."""
 
@@ -147,15 +135,23 @@ class SummaryStats:
 
 @dataclass(frozen=True, slots=True)
 class RunResult:
-    """Metrics plus the per-event detail needed by analyses and tests."""
+    """Metrics plus the per-packet and per-stretch results of one run.
+
+    Every run returns this one shape.  Packets are served FIFO, so
+    ``arrivals`` and ``tx_starts`` (one entry per served packet) are both
+    sorted.  DRX stretch k runs from ``boundaries[k]`` to ``stretch_ends[k]``,
+    its release instant or the horizon: the UE sleeps and listens on that
+    span and transmits nothing inside it.
+    """
 
     metrics: Metrics
     # DRX-enable instants (coalescing-cycle boundaries), in order.
     boundaries: tuple[float, ...]
     # Threshold in effect from each boundary on (post-update values).
     thresholds: tuple[float, ...]
-    records: tuple[PacketRecord, ...] | None = None
-    sleep_intervals: tuple[tuple[float, float], ...] | None = None
+    arrivals: tuple[float, ...]
+    tx_starts: tuple[float, ...]
+    stretch_ends: tuple[float, ...]
 
 
 class _CycleGeometry:
@@ -166,13 +162,12 @@ class _CycleGeometry:
     sleep on [C_k, C_{k+1} - t_on), listen on [C_{k+1} - t_on, C_{k+1}).
     """
 
-    __slots__ = ("t_on", "t_s", "t_l", "short_span", "n_short")
+    __slots__ = ("t_on", "t_s", "t_l", "short_span")
 
     def __init__(self, cfg: DrxConfig):
         self.t_on = cfg.t_on
         self.t_s = cfg.t_short
         self.t_l = cfg.t_long
-        self.n_short = cfg.n_short
         self.short_span = cfg.n_short * cfg.t_short
 
     def _cycle_at(self, phi: float) -> tuple[float, float]:
@@ -212,21 +207,6 @@ class _CycleGeometry:
         sleep += min(rem, self.t_l - self.t_on)
         return sleep
 
-    def sleep_spans(self, t0: float, t_end: float) -> list[tuple[float, float]]:
-        """Explicit sleep intervals in [t0, t_end); detail mode only."""
-        out: list[tuple[float, float]] = []
-        off = 0.0
-        k = 0
-        while t0 + off < t_end:
-            clen = self.t_s if k < self.n_short else self.t_l
-            lo = t0 + off
-            hi = min(lo + clen - self.t_on, t_end)
-            if hi > lo:
-                out.append((lo, hi))
-            off += clen
-            k += 1
-        return out
-
 
 def _lambda_hat_series(arrivals: Sequence[float], k_ema: float) -> list[float]:
     """EMA arrival-rate estimate after each arrival; 0.0 means "none yet".
@@ -256,7 +236,7 @@ def _lambda_hat_series(arrivals: Sequence[float], k_ema: float) -> list[float]:
 
 
 def simulate(arrivals: Sequence[float], cfg: DrxConfig, policy: Policy,
-             horizon: float, psf: float = 1.0, detail: bool = False) -> RunResult:
+             horizon: float, psf: float = 1.0) -> RunResult:
     """Run the queue + DRX machine over a fixed arrival sequence."""
     if horizon <= 0:
         raise ValueError(f"horizon must be > 0, got {horizon}")
@@ -277,15 +257,13 @@ def simulate(arrivals: Sequence[float], cfg: DrxConfig, policy: Policy,
         q_w = policy.q_w if policy.kind is PolicyKind.FIXED_COALESCING else 1.0
 
     tx: list[float] = []
-    cyc_of: list[int] = []
     boundaries: list[float] = []
     thresholds: list[float] = []
+    stretch_ends: list[float] = []
     per_cycle: list[tuple[float | None, float]] = []
-    sleeps: list[tuple[float, float]] = []
 
     sleep_total = 0.0
     delay_sum = 0.0
-    served = 0
     c_dsum = 0.0
     c_cnt = 0
     free = 0.0
@@ -315,9 +293,8 @@ def simulate(arrivals: Sequence[float], cfg: DrxConfig, policy: Policy,
             else:
                 rel = geo.release_at(t0, A[j])
                 end = rel if rel < horizon else horizon
+            stretch_ends.append(end)
             sleep_total += geo.sleep_between(t0, end)
-            if detail:
-                sleeps.extend(geo.sleep_spans(t0, end))
             if end >= horizon:
                 break
             free = end
@@ -331,11 +308,8 @@ def simulate(arrivals: Sequence[float], cfg: DrxConfig, policy: Policy,
                 done = True
                 break
             tx.append(s)
-            if detail:
-                cyc_of.append(len(boundaries))
             d = s - a
             delay_sum += d
-            served += 1
             c_dsum += d
             c_cnt += 1
             free = s + psf
@@ -344,6 +318,7 @@ def simulate(arrivals: Sequence[float], cfg: DrxConfig, policy: Policy,
             if i < n and A[i] > free + t_in:
                 break
 
+    served = len(tx)
     mean_delay = delay_sum / served if served else math.nan
     mean_q_w = (sum(thresholds) / len(thresholds)) if thresholds else q_w
     metrics = Metrics(
@@ -355,18 +330,13 @@ def simulate(arrivals: Sequence[float], cfg: DrxConfig, policy: Policy,
         saturated=(n * psf / horizon) >= 1.0,
         per_cycle=tuple(per_cycle),
     )
-    records = None
-    if detail:
-        records = tuple(
-            PacketRecord(A[k], tx[k], tx[k] + psf, cyc_of[k])
-            for k in range(served)
-        )
     return RunResult(
         metrics=metrics,
         boundaries=tuple(boundaries),
         thresholds=tuple(thresholds),
-        records=records,
-        sleep_intervals=tuple(sleeps) if detail else None,
+        arrivals=tuple(A[:served]),
+        tx_starts=tuple(tx),
+        stretch_ends=tuple(stretch_ends),
     )
 
 
@@ -385,9 +355,10 @@ def make_arrivals(traffic: TrafficKind, horizon: float, seed: int) -> tr.Arrival
 
 
 def run_detailed(scenario: Scenario, seed: int) -> RunResult:
+    """One deterministic run with its per-packet and per-stretch results."""
     stream = make_arrivals(scenario.traffic, scenario.horizon, seed)
     return simulate(stream.arrivals, scenario.cfg, scenario.policy,
-                    scenario.horizon, scenario.psf, detail=True)
+                    scenario.horizon, scenario.psf)
 
 
 def run(scenario: Scenario, seed: int) -> Metrics:
@@ -398,13 +369,20 @@ def run(scenario: Scenario, seed: int) -> Metrics:
 
 
 def confidence_interval(samples: Sequence[float], level: float) -> SummaryStats:
-    """Student-t interval: mean +/- t_{n-1,(1+level)/2} * s / sqrt(n)."""
+    """Student-t interval: mean +/- t_{n-1,(1+level)/2} * s / sqrt(n).
+
+    A non-finite sample gives a ``nan`` half width.  A point or segment
+    that served no packet reports a ``nan`` mean delay, so its delay
+    interval is ``nan`` too.
+    """
     n = len(samples)
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
     if not (0.0 < level < 1.0):
         raise ValueError(f"level must be in (0, 1), got {level}")
     mean = float(np.mean(samples))
+    if not all(map(math.isfinite, samples)):
+        return SummaryStats(mean, math.nan, n, level)
     if max(samples) == min(samples):
         return SummaryStats(mean, 0.0, n, level)  # exactly, not up to roundoff
     sd = float(np.std(samples, ddof=1))
@@ -436,22 +414,26 @@ def run_replicated(
                       for m in ms], level)
 
 
-def slice_stats(result: RunResult, start: float, end: float
+def slice_stats(result: RunResult, cfg: DrxConfig, start: float, end: float
                 ) -> tuple[float, float, float, int]:
     """(mean delay, sleep fraction, mean threshold, served) over [start, end).
 
-    Packets are assigned to the window by transmission start.  Requires a
-    detail-mode result.
+    Packets are assigned to the window by transmission start; ``cfg`` is
+    the DRX configuration the run used, which lays out each stretch's sleep.
     """
-    if result.records is None or result.sleep_intervals is None:
-        raise ValueError("slice_stats needs a detail-mode RunResult")
-    delays = [r.tx_start - r.arrival for r in result.records
-              if start <= r.tx_start < end]
-    sleep = sum(min(hi, end) - max(lo, start)
-                for lo, hi in result.sleep_intervals
-                if hi > start and lo < end)
-    qs = [q for b, q in zip(result.boundaries, result.thresholds)
-          if start <= b < end]
+    lo = bisect_left(result.tx_starts, start)
+    hi = bisect_left(result.tx_starts, end)
+    delays = [t - a for a, t in zip(result.arrivals[lo:hi],
+                                    result.tx_starts[lo:hi])]
+    geo = _CycleGeometry(cfg)
+    sleep = 0.0
+    first = bisect_right(result.stretch_ends, start)
+    last = bisect_left(result.boundaries, end)
+    for t0, t_end in zip(result.boundaries[first:last],
+                         result.stretch_ends[first:last]):
+        sleep += (geo.sleep_between(t0, min(t_end, end))
+                  - geo.sleep_between(t0, start))
+    qs = result.thresholds[bisect_left(result.boundaries, start):last]
     mean_delay = sum(delays) / len(delays) if delays else math.nan
     mean_q = sum(qs) / len(qs) if qs else math.nan
     return mean_delay, sleep / (end - start), mean_q, len(delays)

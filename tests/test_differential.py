@@ -12,10 +12,14 @@ Times are drawn either on a half-millisecond grid, where every sum both
 sides form is exact and arrivals land exactly on window edges and timer
 deadlines (so the tie conventions are exercised), or as arbitrary floats.
 Explicit examples pin the ties that random draws rarely produce.  The
-adaptive policy is left to the golden sweeps.
+adaptive policy has no reference here; ``test_engine_invariants`` checks
+the simulator's invariants on the same draws under all three policies.
 """
 
 from __future__ import annotations
+
+import math
+from bisect import bisect_left, bisect_right
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -72,15 +76,54 @@ psfs = st.sampled_from([0.5, 1.0, 2.0])
          policy=Policy.standard(), psf=1.0)
 def test_engine_matches_reference(arrivals, cfg, policy, psf):
     ref = reference_run(arrivals, cfg, policy, HORIZON, psf)
-    got = simulate(arrivals, cfg, policy, HORIZON, psf, detail=True)
+    got = simulate(arrivals, cfg, policy, HORIZON, psf)
 
-    assert len(got.records) == len(ref.records)
-    for rec, (arrival, tx_start, cycle_index) in zip(got.records, ref.records):
-        assert rec.arrival == arrival
-        assert rec.tx_start == pytest.approx(tx_start, rel=0.0, abs=TOL)
-        assert rec.cycle_index == cycle_index
+    assert len(got.tx_starts) == len(ref.records)
+    for got_arrival, got_tx, (arrival, tx_start, cycle_index) in zip(
+            got.arrivals, got.tx_starts, ref.records):
+        assert got_arrival == arrival
+        assert got_tx == pytest.approx(tx_start, rel=0.0, abs=TOL)
+        assert bisect_left(got.boundaries, got_tx) == cycle_index
     assert len(got.boundaries) == len(ref.boundaries)
     for b_got, b_ref in zip(got.boundaries, ref.boundaries):
         assert b_got == pytest.approx(b_ref, rel=0.0, abs=TOL)
     assert got.metrics.sleep_fraction == pytest.approx(
         ref.sleep_fraction, rel=0.0, abs=TOL)
+
+
+adaptive_policies = st.builds(
+    lambda w_star, ratio: Policy.adaptive(w_star, ratio * w_star),
+    st.floats(2.0, 100.0), st.sampled_from([1.0, 2.0, 4.0]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(arrivals=arrival_lists, cfg=configs(),
+       policy=st.one_of(policies, adaptive_policies), psf=psfs)
+def test_engine_invariants(arrivals, cfg, policy, psf):
+    r = simulate(arrivals, cfg, policy, HORIZON, psf)
+    m, tx = r.metrics, r.tx_starts
+    offered = [a for a in arrivals if a <= HORIZON]
+
+    # Served plus residual backlog is every arrival; service is FIFO.
+    assert m.arrivals == len(offered)
+    assert m.packets_served == len(tx) <= m.arrivals
+    assert r.arrivals == tuple(offered[:len(tx)])
+    for a, t in zip(r.arrivals, tx):
+        assert a <= t < HORIZON
+    for prev, nxt in zip(tx, tx[1:]):
+        assert nxt - prev >= psf
+
+    # DRX stretch k holds back every transmission from its enable instant
+    # until its release, which is the next start (or the horizon).
+    assert len(r.stretch_ends) == len(r.boundaries) == len(r.thresholds)
+    for b, end, q in zip(r.boundaries, r.stretch_ends, r.thresholds):
+        assert b < end <= HORIZON
+        k = bisect_left(tx, b)
+        assert (tx[k] if k < len(tx) else HORIZON) == end
+        if end < HORIZON:
+            assert bisect_right(offered, end) - k >= math.ceil(q)
+    for end, nxt in zip(r.stretch_ends, r.boundaries[1:]):
+        assert end < nxt
+
+    assert 0.0 <= m.sleep_fraction <= 1.0

@@ -1,7 +1,7 @@
 """Unit tests for the simulation engine.
 
 Structural properties (conservation, FIFO order, causality against the DRX
-schedule, work conservation, determinism) are asserted on detail-mode runs.
+schedule, work conservation, determinism) are asserted on full run results.
 ``TestDrxTiming`` pins the arithmetic DRX timing on hand-scripted arrivals
 with window times worked out by hand.  The randomized cross-check against
 the event-by-event state machine of ``tests/drx_reference.py`` is
@@ -11,13 +11,13 @@ the event-by-event state machine of ``tests/drx_reference.py`` is
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 
 import pytest
 
 from drxsim.drx import DrxConfig, Policy
 from drxsim.engine import (
     Metrics,
-    PacketRecord,
     ParetoTraffic,
     PoissonTraffic,
     Scenario,
@@ -39,7 +39,7 @@ def _scenario(policy, rate=0.3, horizon=H, cfg=CFG):
     return Scenario(cfg, policy, PoissonTraffic(rate), horizon)
 
 
-def _detail(policy, rate=0.3, seed=1, horizon=H, cfg=CFG):
+def _result(policy, rate=0.3, seed=1, horizon=H, cfg=CFG):
     return run_detailed(_scenario(policy, rate, horizon, cfg), seed)
 
 
@@ -48,59 +48,62 @@ class TestStructuralInvariants:
         Policy.standard(), Policy.fixed(8), Policy.adaptive(64, 128),
     ])
     def test_conservation(self, policy):
-        r = _detail(policy)
+        r = _result(policy)
         m = r.metrics
-        assert m.packets_served == len(r.records)
+        assert m.packets_served == len(r.tx_starts)
         assert m.arrivals == m.packets_served + m.residual_backlog
         assert m.residual_backlog >= 0
 
     @pytest.mark.parametrize("policy", [Policy.standard(), Policy.fixed(8)])
     def test_fifo_order(self, policy):
-        r = _detail(policy)
-        starts = [p.tx_start for p in r.records]
+        r = _result(policy)
+        starts = list(r.tx_starts)
         assert starts == sorted(starts)
 
     def test_no_transmission_while_sleeping(self):
-        r = _detail(Policy.fixed(8), rate=0.2)
-        k = 0
-        spans = r.sleep_intervals
-        for rec in r.records:
-            while k < len(spans) and spans[k][1] <= rec.tx_start:
-                k += 1
-            if k < len(spans):
-                lo, hi = spans[k]
-                assert not (lo < rec.tx_start < hi)
-                assert not (lo <= rec.tx_start < hi)
+        # The UE sleeps only inside DRX stretches, and a stretch ends at
+        # its release: no start falls in [boundary, stretch end).
+        r = _result(Policy.fixed(8), rate=0.2)
+        assert r.boundaries
+        for tx in r.tx_starts:
+            k = bisect_right(r.boundaries, tx) - 1
+            if k >= 0:
+                assert tx >= r.stretch_ends[k]
 
     def test_work_conservation_while_active(self):
         # A packet already queued when the server frees starts immediately.
-        r = _detail(Policy.fixed(8), rate=0.6)
-        for prev, nxt in zip(r.records, r.records[1:]):
-            if nxt.arrival <= prev.tx_end:
-                assert nxt.tx_start == prev.tx_end
+        r = _result(Policy.fixed(8), rate=0.6)
+        psf = 1.0
+        for prev_tx, arrival, tx in zip(r.tx_starts, r.arrivals[1:],
+                                        r.tx_starts[1:]):
+            if arrival <= prev_tx + psf:
+                assert tx == prev_tx + psf
 
     def test_release_respects_threshold(self):
-        r = _detail(Policy.fixed(8), rate=0.3)
-        arrivals = [p.arrival for p in r.records] + [math.inf]
-        by_cycle: dict[int, PacketRecord] = {}
-        for rec in r.records:
-            by_cycle.setdefault(rec.cycle_index, rec)
-        for cyc, first in by_cycle.items():
+        r = _result(Policy.fixed(8), rate=0.3)
+        arrivals = list(r.arrivals) + [math.inf]
+        by_cycle: dict[int, float] = {}
+        for tx in r.tx_starts:
+            by_cycle.setdefault(bisect_left(r.boundaries, tx), tx)
+        for cyc, first_tx in by_cycle.items():
             if cyc == 0:
                 continue  # before the first DRX stretch there is no threshold
             boundary = r.boundaries[cyc - 1]
             backlog = sum(1 for a in arrivals
-                          if boundary < a <= first.tx_start)
+                          if boundary < a <= first_tx)
             assert backlog >= math.ceil(r.thresholds[cyc - 1])
 
     def test_records_and_sleep_within_horizon(self):
-        r = _detail(Policy.fixed(32), rate=0.1, horizon=5000.0)
-        for rec in r.records:
-            assert 0.0 <= rec.arrival <= rec.tx_start < 5000.0
-        for lo, hi in r.sleep_intervals:
+        r = _result(Policy.fixed(32), rate=0.1, horizon=5000.0)
+        for arrival, tx in zip(r.arrivals, r.tx_starts):
+            assert 0.0 <= arrival <= tx < 5000.0
+        for lo, hi in zip(r.boundaries, r.stretch_ends):
             assert 0.0 <= lo < hi <= 5000.0
-        total = sum(hi - lo for lo, hi in r.sleep_intervals)
-        assert total == pytest.approx(r.metrics.sleep_fraction * 5000.0)
+        # Each stretch sleeps all but at most one on-duration per cycle
+        # begun (32 ms cycles, 2 ms on-durations).
+        span = sum(hi - lo for lo, hi in zip(r.boundaries, r.stretch_ends))
+        sleep = r.metrics.sleep_fraction * 5000.0
+        assert span * 30.0 / 32.0 - 2.0 * len(r.boundaries) <= sleep <= span
 
     def test_sleep_fraction_bounds(self):
         m = run(_scenario(Policy.fixed(128), rate=0.1), 3)
@@ -114,7 +117,7 @@ class TestDeterminism:
 
     def test_bit_identical_records(self):
         sc = _scenario(Policy.fixed(8), rate=0.4)
-        assert run_detailed(sc, 7).records == run_detailed(sc, 7).records
+        assert run_detailed(sc, 7) == run_detailed(sc, 7)
 
     def test_seeds_differ(self):
         sc = _scenario(Policy.fixed(8), rate=0.4)
@@ -128,7 +131,7 @@ class TestDegenerateThreshold:
     def test_fixed_one_equals_standard(self, traffic):
         a = Scenario(CFG, Policy.fixed(1), traffic, H)
         b = Scenario(CFG, Policy.standard(), traffic, H)
-        assert run_detailed(a, 5).records == run_detailed(b, 5).records
+        assert run_detailed(a, 5) == run_detailed(b, 5)
 
 
 class TestDrxTiming:
@@ -137,19 +140,19 @@ class TestDrxTiming:
     def test_release_waits_for_window(self):
         # Idle from 0: DRX enables at t_in = 10. Cycle sleeps 30 then listens
         # on [40, 42). An arrival at 15 (threshold 1) transmits at 40.
-        r = simulate([15.0], CFG, Policy.standard(), 200.0, detail=True)
+        r = simulate([15.0], CFG, Policy.standard(), 200.0)
         assert r.boundaries[0] == 10.0
-        assert r.records[0].tx_start == 40.0
+        assert r.tx_starts[0] == 40.0
 
     def test_release_immediate_during_window(self):
-        r = simulate([41.0], CFG, Policy.standard(), 200.0, detail=True)
-        assert r.records[0].tx_start == 41.0
+        r = simulate([41.0], CFG, Policy.standard(), 200.0)
+        assert r.tx_starts[0] == 41.0
 
     def test_threshold_filled_while_listening(self):
         # Threshold 2: first arrival at 15 sleeps through; second at 41.5
         # lands inside the window and releases instantly.
-        r = simulate([15.0, 41.5], CFG, Policy.fixed(2), 200.0, detail=True)
-        assert [p.tx_start for p in r.records] == [41.5, 42.5]
+        r = simulate([15.0, 41.5], CFG, Policy.fixed(2), 200.0)
+        assert r.tx_starts == (41.5, 42.5)
 
     def test_two_phase_window_chain(self):
         # n_short = 3 then long cycles: windows at 40, 72, 104, 168 relative
@@ -157,28 +160,28 @@ class TestDrxTiming:
         cfg = DrxConfig(t_in=10, t_on=2, t_short=32, t_long=64, n_short=3)
         for arrival, expected in [(11.0, 40.0), (45.0, 72.0), (100.0, 104.0),
                                   (110.0, 168.0)]:
-            r = simulate([arrival], cfg, Policy.standard(), 400.0, detail=True)
-            assert r.records[0].tx_start == expected, arrival
+            r = simulate([arrival], cfg, Policy.standard(), 400.0)
+            assert r.tx_starts[0] == expected, arrival
 
     def test_countdown_arrival_served_immediately(self):
         # Arrival during the countdown (before 10) is served at once, for
         # coalescing policies too.
-        r = simulate([4.0], CFG, Policy.fixed(8), 200.0, detail=True)
-        assert r.records[0].tx_start == 4.0
+        r = simulate([4.0], CFG, Policy.fixed(8), 200.0)
+        assert r.tx_starts[0] == 4.0
 
     def test_inactivity_measured_from_tx_end(self):
         # Service ends at 5; countdown runs to 15; a second arrival at 14.9
         # is still served immediately, one at 15.1 waits for a DRX window.
-        r = simulate([4.0, 14.9], CFG, Policy.fixed(8), 200.0, detail=True)
-        assert r.records[1].tx_start == 14.9
-        r2 = simulate([4.0, 15.1], CFG, Policy.fixed(1), 200.0, detail=True)
+        r = simulate([4.0, 14.9], CFG, Policy.fixed(8), 200.0)
+        assert r.tx_starts[1] == 14.9
+        r2 = simulate([4.0, 15.1], CFG, Policy.fixed(1), 200.0)
         assert r2.boundaries[0] == 15.0
-        assert r2.records[1].tx_start == 45.0  # window opens 30 ms after 15
+        assert r2.tx_starts[1] == 45.0  # window opens 30 ms after 15
 
     def test_cycle_index_assignment(self):
-        r = simulate([4.0, 20.0], CFG, Policy.fixed(1), 200.0, detail=True)
-        assert r.records[0].cycle_index == 0  # before any DRX stretch
-        assert r.records[1].cycle_index == 1
+        r = simulate([4.0, 20.0], CFG, Policy.fixed(1), 200.0)
+        cycles = [bisect_left(r.boundaries, tx) for tx in r.tx_starts]
+        assert cycles == [0, 1]  # the first packet precedes any DRX stretch
 
 
 class TestMetricsFields:
@@ -192,7 +195,7 @@ class TestMetricsFields:
         assert any(w is not None for w, _ in m.per_cycle)
 
     def test_per_cycle_thresholds_match(self):
-        r = _detail(Policy.adaptive(64, 128), rate=0.4)
+        r = _result(Policy.adaptive(64, 128), rate=0.4)
         # per_cycle[i] records the threshold that governed cycle i, which is
         # the post-update value at the previous boundary.
         govern = [q for _, q in r.metrics.per_cycle]
@@ -212,7 +215,7 @@ class TestMetricsFields:
         assert m.mean_q_w == 1.0
 
     def test_empty_traffic(self):
-        r = simulate([], CFG, Policy.standard(), 1000.0, detail=True)
+        r = simulate([], CFG, Policy.standard(), 1000.0)
         assert math.isnan(r.metrics.mean_delay)
         assert r.metrics.arrivals == 0
         # UE idles 10 ms then sleeps in 30/2 cycles until the horizon
@@ -221,7 +224,7 @@ class TestMetricsFields:
         )
 
     def test_arrival_at_horizon_stays_queued(self):
-        r = simulate([50.0, 1000.0], CFG, Policy.standard(), 1000.0, detail=True)
+        r = simulate([50.0, 1000.0], CFG, Policy.standard(), 1000.0)
         assert r.metrics.arrivals == 2
         assert r.metrics.packets_served == 1
 
@@ -237,25 +240,39 @@ class TestTraceScenario:
 
 class TestSliceStats:
     def test_full_slice_matches_metrics(self):
-        r = _detail(Policy.adaptive(64, 128), rate=0.3)
-        delay, sleep, _, served = slice_stats(r, 0.0, H)
+        r = _result(Policy.adaptive(64, 128), rate=0.3)
+        delay, sleep, _, served = slice_stats(r, CFG, 0.0, H)
         assert delay == pytest.approx(r.metrics.mean_delay)
         assert sleep == pytest.approx(r.metrics.sleep_fraction)
         assert served == r.metrics.packets_served
 
-    def test_requires_detail(self):
-        sc = _scenario(Policy.standard())
-        from drxsim.engine import RunResult
-        bare = RunResult(run(sc, 1), (), ())
-        with pytest.raises(ValueError):
-            slice_stats(bare, 0.0, 10.0)
+    @pytest.mark.parametrize("policy", [Policy.fixed(8), Policy.adaptive(64, 128)])
+    def test_partition_adds_up(self, policy):
+        # Short-then-long cycles, and window edges cut DRX stretches in a
+        # short cycle's sleep, in its on-duration and halfway through.
+        cfg = DrxConfig(t_in=10, t_on=2, t_short=8, t_long=64, n_short=4)
+        r = _result(policy, rate=0.05, cfg=cfg)
+        stretches = [(b, e) for b, e in zip(r.boundaries, r.stretch_ends)
+                     if e - b > 40.0]
+        assert len(stretches) > 20
+        cuts = sorted({b + off for b, e in stretches[::5]
+                       for off in (3.0, 7.0, (e - b) / 2)})
+        edges = [0.0, *cuts, H]
+        windows = [slice_stats(r, cfg, lo, hi) + (hi - lo,)
+                   for lo, hi in zip(edges, edges[1:])]
+        m = r.metrics
+        assert sum(w[3] for w in windows) == m.packets_served
+        assert sum(w[1] * w[4] for w in windows) == pytest.approx(
+            m.sleep_fraction * H, rel=1e-12)
+        assert sum(w[0] * w[3] for w in windows if w[3]) == pytest.approx(
+            m.mean_delay * m.packets_served, rel=1e-12)
 
 
 class TestSchedules:
     def test_schedule_traffic_runs(self):
         sched = ScheduleTraffic(((5000.0, 0.1), (5000.0, 0.5)))
         r = run_detailed(Scenario(CFG, Policy.adaptive(64, 128), sched, 10000.0), 2)
-        lo = sum(1 for p in r.records if p.arrival < 5000.0)
+        lo = bisect_left(r.arrivals, 5000.0)
         hi = r.metrics.arrivals - lo
         assert hi > 3 * lo / 2  # second segment is five times as fast
 
@@ -298,6 +315,13 @@ class TestConfidenceInterval:
         # t_{9, 0.975} from the regularized incomplete beta at 30 digits
         expected = 2.2621571627982055 * statistics.stdev(samples) / math.sqrt(10)
         assert s.ci_half_width == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("samples", [
+        [1.0, math.nan, 1.0], [math.nan, 1.0, 1.0], [math.nan, math.nan],
+        [1.0, 2.0, math.nan], [math.inf, math.inf],
+    ])
+    def test_non_finite_sample_gives_nan_half_width(self, samples):
+        assert math.isnan(confidence_interval(samples, 0.95).ci_half_width)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
