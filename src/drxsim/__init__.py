@@ -7,23 +7,18 @@ used to validate it.
 """
 
 from .analytic import (
-    Stability,
     StabilityError,
-    StabilityVerdict,
     TrafficMoments,
     VacationMoments,
     dmean_wait_dq,
     equilibrium_threshold,
     extra_wait_tw,
-    first_wait_moments_poisson,
-    gain_bound_holds,
     gamma_poisson,
     md1_wait,
     mean_wait_general,
     mean_wait_poisson,
     mean_wait_poisson_raw,
     poisson_vacation_moments,
-    stability_verdict,
 )
 from .controller import ControllerState, q_max_from_bound, update_threshold
 from .drx import DrxConfig, Policy, PolicyKind

@@ -33,25 +33,24 @@ starts falls early in the cycle and waits longer: at rate 0.1 with the
 For non-Poisson traffic the 1/g weight of the covariance term is the
 natural generalisation of the Poisson result, not a derivation.
 
+The tuning loop ``q += 2 lam (w* - w)`` has loop gain ``2 lam dE[W]/dq``
+against this model, which ``dmean_wait_dq`` puts in (0, 1] for finite g
+and at 0 for g = inf: the slope is the one stability test.  The paper's
+published stability inequalities, conservative for this slope, are
+checked as written in the test suite.
+
 All functions are pure, double precision.  g grows exponentially with
-``lam * t_in`` and can overflow; every expression involving it divides
-through by g where g can be large (equivalent algebra, no overflow), and
-the mean wait takes the g -> inf limit explicitly when g is infinite.
+``lam * t_in`` and overflows to inf; every expression involving it is
+divided through by g, so the same expression serves every g including
+inf, where it gives the DRX-never-enabled limit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from .drx import DrxConfig
-
-_BIG_GAMMA = 1e12
-
-# Bisection domain and tolerance for the stability crossing point.
-_CROSSING_HI = 1024.0
-_CROSSING_TOL = 1e-6
 
 
 class StabilityError(ValueError):
@@ -141,11 +140,11 @@ def gamma_poisson(lam: float, t_in: float) -> float:
         return math.inf
 
 
-def first_wait_moments_poisson(
-    lam: float, q_w: float, t_w: float
-) -> tuple[float, float]:
-    """First two moments of the first coalesced packet's wait, Poisson case.
+def poisson_vacation_moments(lam: float, q_w: float, t_w: float,
+                             gamma: float) -> VacationMoments:
+    """Vacation moments for Poisson arrivals.
 
+    The empty period is exponential: ``E[I] = 1/lam``, ``E[I^2] = 2/lam^2``.
     The first packet waits for ``q_w - 1`` further arrivals (Erlang, mean
     ``(q_w - 1)/lam``, variance ``(q_w - 1)/lam^2``) plus the extra wait
     ``t_w``, which enters the second moment as a constant shift.
@@ -156,13 +155,6 @@ def first_wait_moments_poisson(
         raise ValueError(f"q_w must be >= 1, got {q_w}")
     e_wf = (q_w - 1.0) / lam + t_w
     e_wf2 = (q_w - 1.0) / lam**2 + e_wf**2
-    return e_wf, e_wf2
-
-
-def poisson_vacation_moments(lam: float, q_w: float, t_w: float,
-                             gamma: float) -> VacationMoments:
-    """Bundle the Poisson closed-form moments: E[I] = 1/lam, E[I^2] = 2/lam^2."""
-    e_wf, e_wf2 = first_wait_moments_poisson(lam, q_w, t_w)
     return VacationMoments(1.0 / lam, 2.0 / lam**2, e_wf, e_wf2, gamma)
 
 
@@ -180,19 +172,14 @@ def mean_wait_general(tm: TrafficMoments, q_w: float, vm: VacationMoments) -> fl
         2.0 * lam * (1.0 - rho)
     )
 
+    # Numerators and the shared denominator divided through by g: at
+    # g = inf this is the plain M/G/1 idle-period term and cov is 0.
     g = vm.gamma
-    if math.isinf(g):
-        # DRX never enabled: the idle periods stay plain M/G/1 idle periods.
-        vac = -vm.e_i2 / (2.0 * vm.e_i) if vm.e_i > 0 else 0.0
-        cov = 0.0
-    else:
-        # Large g: divide numerators and the shared denominator through by g.
-        scale = g if g > _BIG_GAMMA else 1.0
-        den = vm.e_wf / scale + (g / scale) * vm.e_i
-        if den == 0.0:
-            raise ValueError("degenerate vacation moments: e_wf + gamma e_i == 0")
-        vac = (vm.e_wf2 / scale - (g / scale) * vm.e_i2) / (2.0 * den)
-        cov = -(q_w - 1.0) * tm.var_a / scale / den
+    den = vm.e_wf / g + vm.e_i
+    if den == 0.0:
+        raise ValueError("degenerate vacation moments: e_wf + gamma e_i == 0")
+    vac = (vm.e_wf2 / g - vm.e_i2) / (2.0 * den)
+    cov = -(q_w - 1.0) * tm.var_a / g / den
     return base + vac + cov
 
 
@@ -251,96 +238,6 @@ def dmean_wait_dq(lam: float, q_w: float, t_w: float, gamma: float) -> float:
     c = q_w + a - 1.0
     num = (c * (c / gamma + 2.0) + 1.0 - a / gamma) / gamma
     return num / (2.0 * lam * (c / gamma + 1.0) ** 2)
-
-
-def gain_bound_holds(lam: float, t_w: float, gamma: float) -> bool:
-    """Whether ``dmean_wait_dq <= 1/(2 lam)`` for every threshold >= 1.
-
-    The slope exceeds the bound exactly where ``g(g - 1) + a < 0``, with
-    ``a = lam * t_w``; the condition is therefore ``g(g - 1) + a >= 0``,
-    which every valid point (``g >= 1``, ``t_w >= 0``) satisfies.  The
-    paper's own sufficient condition was derived for a slope with an extra
-    ``-2/q^2`` term and is stricter than needed.
-    """
-    return gamma * (gamma - 1.0) + lam * t_w >= 0.0
-
-
-class Stability(Enum):
-    STABLE = "stable"
-    UNSTABLE = "unstable"
-    CONDITIONALLY_STABLE = "conditionally_stable"
-
-
-@dataclass(frozen=True, slots=True)
-class StabilityVerdict:
-    kind: Stability
-    # Smallest equilibrium threshold above which the closed loop is stable;
-    # only meaningful for CONDITIONALLY_STABLE (and STABLE, informationally).
-    crossing: float | None = None
-
-    def __bool__(self) -> bool:
-        return self.kind is Stability.STABLE
-
-
-def _upper_margin(lam: float, q: float, t_w: float, gamma: float) -> float:
-    # First stability inequality as published, rearranged as LHS < 1.  The
-    # second inequality's LHS is exactly its negation.  Both carry a -2/q^2
-    # slope term that the model's slope (``dmean_wait_dq``) does not have.
-    a = lam * t_w
-    return (a - gamma * (gamma + 1.0)) / (q + a + gamma - 1.0) ** 2 - 2.0 / q**2
-
-
-def stability_verdict(lam: float, q_w_star: float, t_w: float,
-                      gamma: float) -> StabilityVerdict:
-    """Classify the closed-loop equilibrium at threshold ``q_w_star``.
-
-    The tuning loop is locally stable when the delay model's slope at the
-    equilibrium lies in (0, 1/lam).  The upper condition holds for every
-    threshold >= 1; the lower one holds for all thresholds above some
-    crossing point ``q``: the verdict is ``STABLE`` when ``q_w_star`` exceeds
-    it and ``CONDITIONALLY_STABLE`` (reporting the crossing) otherwise.
-    When the traffic term dominates (``lam * t_w >= gamma * (gamma + 1)``)
-    the crossing is simply ``sqrt(2)``.
-
-    These are the paper's published inequalities.  They are conservative
-    for the model's slope, which lies in ``(0, 1/(2 lam)]`` at every
-    threshold: against the analytic plant the loop converges at every
-    equilibrium, so a verdict other than ``STABLE`` errs on the safe side.
-    """
-    if q_w_star < 1:
-        raise ValueError(f"q_w_star must be >= 1, got {q_w_star}")
-    if gamma < 1.0:
-        raise ValueError(f"gamma must be >= 1, got {gamma}")
-    if lam <= 0:
-        raise ValueError(f"lam must be > 0, got {lam}")
-
-    if not _upper_margin(lam, q_w_star, t_w, gamma) < 1.0:
-        return StabilityVerdict(Stability.UNSTABLE)
-
-    a = lam * t_w
-    if a - gamma * (gamma + 1.0) >= 0.0:
-        crossing = math.sqrt(2.0)
-        if q_w_star > crossing:
-            return StabilityVerdict(Stability.STABLE, crossing)
-        return StabilityVerdict(Stability.CONDITIONALLY_STABLE, crossing)
-
-    # -_upper_margin is strictly decreasing in q here, so bisection is sound.
-    if -_upper_margin(lam, 1.0, t_w, gamma) < 1.0:
-        crossing = 1.0
-    elif -_upper_margin(lam, _CROSSING_HI, t_w, gamma) >= 1.0:
-        return StabilityVerdict(Stability.CONDITIONALLY_STABLE, math.inf)
-    else:
-        lo, hi = 1.0, _CROSSING_HI
-        while hi - lo > _CROSSING_TOL:
-            mid = 0.5 * (lo + hi)
-            if -_upper_margin(lam, mid, t_w, gamma) < 1.0:
-                hi = mid
-            else:
-                lo = mid
-        crossing = hi
-    if q_w_star > crossing:
-        return StabilityVerdict(Stability.STABLE, crossing)
-    return StabilityVerdict(Stability.CONDITIONALLY_STABLE, crossing)
 
 
 def md1_wait(lam: float, mu: float) -> float:

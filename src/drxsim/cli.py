@@ -452,6 +452,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
             raise SpecError("--seeds must be >= 2")
         spec = replace(spec, seeds=tuple(range(1, args.seeds + 1)))
     rows = run_experiment(spec, jobs=args.jobs)
+    for row in rows:
+        if math.isnan(row.mean_delay_ms):
+            setting = (f"q_w={_cell(row.q_w)}" if row.w_star is None
+                       else f"w_star={_cell(row.w_star)}")
+            print(f"warning: nan delay, a seed served no packet: scenario "
+                  f"{row.scenario}, policy {row.policy} {setting}, rate "
+                  f"{_cell(row.rate)}", file=sys.stderr)
     out_path = args.out or spec.output
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
@@ -482,16 +489,15 @@ def _cmd_model(args: argparse.Namespace) -> int:
     wait = analytic.mean_wait_poisson(args.rate, args.mu, args.var_s,
                                       args.q_w, cfg)
     slope = analytic.dmean_wait_dq(args.rate, args.q_w, t_w, gamma)
-    verdict = analytic.stability_verdict(args.rate, args.q_w, t_w, gamma)
+    gain = 2.0 * args.rate * slope
     print(f"t_w         = {t_w:.6g} ms")
     print(f"gamma       = {gamma:.6g}")
     print(f"mean_wait   = {wait:.6g} ms")
     print(f"d_wait/d_qw = {slope:.6g} ms/packet")
-    if verdict.crossing is None:
-        print(f"stability   = {verdict.kind.value}")
-    else:
-        print(f"stability   = {verdict.kind.value} "
-              f"(stable above threshold {verdict.crossing:.6g})")
+    print(f"loop_gain   = {gain:.6g} (2 lam d_wait/d_qw)")
+    verdict = ("the threshold does not move the delay (DRX is never enabled)"
+               if gain == 0.0 else "stable" if 0.0 < gain < 2.0 else "unstable")
+    print(f"stability   = {verdict}")
     return 0
 
 
@@ -518,7 +524,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_mod = sub.add_parser(
         "model",
-        help="print the analytic mean wait, its slope and the stability verdict",
+        help="print the analytic mean wait, its slope and the loop gain",
     )
     p_mod.add_argument("--rate", type=float, required=True,
                        help="arrival rate, packets/ms")

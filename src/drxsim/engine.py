@@ -19,8 +19,9 @@ here too (``_lambda_hat_series``).
 
 Timing conventions (all ms, continuous time):
 
-* The run observes [0, horizon): transmissions starting at or after the
-  horizon never happen and their packets stay queued.
+* The run observes [0, horizon): arrivals at or after the horizon are
+  dropped and count nowhere; transmissions starting at or after the
+  horizon never happen and their packets stay queued (residual backlog).
 * The inactivity deadline is measured from the end of the last transmission;
   at t = 0 the UE behaves as if a transmission had just ended.
 * A DRX cycle sleeps first and closes with its on-duration.  Release fires
@@ -242,7 +243,7 @@ def simulate(arrivals: Sequence[float], cfg: DrxConfig, policy: Policy,
         raise ValueError(f"horizon must be > 0, got {horizon}")
     if psf <= 0:
         raise ValueError(f"psf must be > 0, got {psf}")
-    A = [float(t) for t in arrivals if t <= horizon]
+    A = [float(t) for t in arrivals if t < horizon]
     n = len(A)
     geo = _CycleGeometry(cfg)
     t_in = cfg.t_in

@@ -178,7 +178,7 @@ def reference_run(arrivals: Sequence[float], cfg: DrxConfig, policy: Policy,
     """
     if policy.kind is PolicyKind.ADAPTIVE_COALESCING:
         raise ValueError("the reference covers standard and fixed policies")
-    pending = [a for a in arrivals if a <= horizon]
+    pending = [a for a in arrivals if a < horizon]
     n = len(pending)
     i = 0
     queue: deque[float] = deque()

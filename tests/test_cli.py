@@ -244,11 +244,48 @@ class TestMain:
         out = capsys.readouterr().out
         assert len(out.splitlines()) == 5
 
+    def test_run_warns_on_nan_row(self, tmp_path, capsys):
+        # Threshold 64 never fills at rate 0.01 in 1 s, so nothing is
+        # served; the row stays in the table and the exit code is 0.
+        spec = FULL.replace("horizon = 4000", "horizon = 1000").replace(
+            "rates = 0.2 0.5", "rates = 0.01 0.5").replace(
+            "standard = on\nfixed = 4", "fixed = 64")
+        assert main(["run", self._write(tmp_path, spec)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "warning: nan delay, a seed served no packet: scenario poisson, "
+            "policy fixed q_w=64.0, rate 0.01"
+        ]
+        rows = captured.out.splitlines()
+        assert len(rows) == 3
+        assert rows[1].startswith("poisson,fixed,0.01,64.0,,nan,")
+        assert "nan" not in rows[2]
+
     def test_model_subcommand(self, capsys):
         assert main(["model", "--rate", "0.1", "--q-w", "8"]) == 0
         out = capsys.readouterr().out
         assert "mean_wait" in out and "36.2268" in out
+        assert "loop_gain   = 0.950895" in out
         assert "stability   = stable" in out
+
+    @pytest.mark.parametrize("rate,gain", [("0.1", "0.642775"),
+                                           ("0.5", "0.0942716")])
+    def test_model_threshold_one_is_stable(self, capsys, rate, gain):
+        # The loop gain 2 lam * slope is below 1 at threshold 1 as well.
+        assert main(["model", "--rate", rate, "--q-w", "1"]) == 0
+        out = capsys.readouterr().out
+        assert f"loop_gain   = {gain} " in out
+        assert "stability   = stable\n" in out
+
+    def test_model_never_sleeping(self, capsys):
+        # gamma overflows to inf: DRX is never enabled, the gain is 0.
+        assert main(["model", "--rate", "0.1", "--q-w", "8",
+                     "--t-in", "1e6"]) == 0
+        out = capsys.readouterr().out
+        assert "gamma       = inf" in out
+        assert "loop_gain   = 0 " in out
+        assert ("stability   = the threshold does not move the delay "
+                "(DRX is never enabled)") in out
 
     def test_model_rejects_unstable(self, capsys):
         assert main(["model", "--rate", "1.5", "--q-w", "8"]) == 2

@@ -223,10 +223,16 @@ class TestMetricsFields:
             (990.0 - math.floor(990.0 / 32.0) * 2.0 - 0.0) / 1000.0, abs=2e-3
         )
 
-    def test_arrival_at_horizon_stays_queued(self):
+    def test_arrival_at_horizon_is_outside_the_run(self):
+        # The run observes [0, horizon): an arrival at 1000 is not counted.
         r = simulate([50.0, 1000.0], CFG, Policy.standard(), 1000.0)
+        assert r.metrics.arrivals == 1
+        assert r.metrics.residual_backlog == 0
+        # One at 999.5 is, and waits for a window past the horizon.
+        r = simulate([50.0, 999.5, 1000.0], CFG, Policy.standard(), 1000.0)
         assert r.metrics.arrivals == 2
         assert r.metrics.packets_served == 1
+        assert r.metrics.residual_backlog == 1
 
 
 class TestTraceScenario:
