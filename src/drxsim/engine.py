@@ -8,6 +8,21 @@ recursion, and DRX phases are resolved arithmetically from the cycle
 geometry.  The test suite checks the result against a slow reference that
 steps an explicit UE state machine one event at a time.
 
+An active stretch is served by a scalar loop for its first
+``_SCALAR_HEAD`` packets and, if still open, on arrays by ``_drain``.
+For FIFO service of one ``psf`` per packet, the start of packet m is
+``s_m = max(A_m, s_{m-1} + psf)`` (Lindley 1952); unrolled, it is
+``m*psf + max(free, cummax(A_j - j*psf))``, one numpy pass per chunk.  In
+floating point the unrolled form can round differently, so ``_drain``
+recomputes every start from its predecessor with the scalar loop's own
+expressions, finds the stretch end with the loop's own comparisons, and
+keeps the chunk only if the unrolled starts it relied on equal those
+recomputed ones; otherwise it declines and the scalar loop serves the
+stretch.  Delay sums are added in packet order (``np.add.accumulate``).
+Results are therefore bit-identical to the scalar loop's for any ``psf``;
+at ``psf = 1`` the unrolled form is almost always exact, so long
+stretches cost a few numpy passes, not one Python step per packet.
+
 Every run returns one ``RunResult``: the metrics, each served packet's
 arrival and transmission start, and each DRX stretch as its enable instant
 (``boundaries``), threshold and end (``stretch_ends``: the release instant,
@@ -35,6 +50,7 @@ Timing conventions (all ms, continuous time):
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -236,14 +252,73 @@ def _lambda_hat_series(arrivals: Sequence[float], k_ema: float) -> list[float]:
     return out
 
 
-def simulate(arrivals: Sequence[float], cfg: DrxConfig, policy: Policy,
-             horizon: float, psf: float = 1.0) -> RunResult:
-    """Run the queue + DRX machine over a fixed arrival sequence."""
+# Each active stretch serves its first _SCALAR_HEAD packets in the scalar
+# loop; a stretch still open after that is handed to _drain, whose chunks
+# start at _FIRST_CHUNK packets and double.  Short stretches never pay for
+# the array set-up.
+_SCALAR_HEAD = 256
+_FIRST_CHUNK = 64
+
+
+def _drain(A: np.ndarray, i: int, free: float, psf: float, t_in: float,
+           horizon: float) -> tuple[np.ndarray, bool] | None:
+    """Serve an open active stretch from packet ``i`` on, in chunks.
+
+    The server is free from ``free``.  Returns the starts of the packets
+    served until the stretch ends and whether it ended at the horizon, or
+    None when an unrolled start the result relies on differs from the
+    recursion (see the module docstring).
+    """
+    n = len(A)
+    parts: list[np.ndarray] = []
+    size = _FIRST_CHUNK
+    while i < n:
+        q = min(i + size, n)
+        a = A[i:q]
+        r = np.arange(q - i) * psf
+        cand = r + np.maximum(free, np.maximum.accumulate(a - r))
+        prev = np.concatenate(([free], cand[:-1] + psf))
+        s = np.where(a > prev, a, prev)  # the loop's max(A_m, free)
+        # Ends: the first start at or after the horizon (not served), or
+        # the first packet after which the next arrival misses the
+        # countdown (served; the next arrival may lie in the next chunk).
+        ends = s >= horizon
+        nxt = A[i + 1:q + 1]
+        ends[:len(nxt)] |= nxt > (s[:len(nxt)] + psf) + t_in
+        e = int(ends.argmax()) if ends.any() else q - i
+        if not np.array_equal(s[:e], cand[:e]):
+            return None
+        if e < q - i:
+            done = bool(s[e] >= horizon)  # else packet e is served, last
+            parts.append(s[:e] if done else s[:e + 1])
+            return np.concatenate(parts), done
+        parts.append(s)
+        free = float(s[-1]) + psf
+        i = q
+        size *= 2
+    return np.concatenate(parts), False
+
+
+def _running_sum(start: float, d: np.ndarray) -> float:
+    # ``start + d[0] + d[1] + ...`` in order, as ``+=`` would add them.
+    return float(np.add.accumulate(np.concatenate(([start], d)))[-1])
+
+
+def simulate(arrivals: Sequence[float] | np.ndarray, cfg: DrxConfig,
+             policy: Policy, horizon: float, psf: float = 1.0) -> RunResult:
+    """Run the queue + DRX machine over a fixed arrival sequence.
+
+    ``arrivals`` must be finite and nondecreasing from 0 (``ValueError``
+    otherwise); those at or after the horizon are dropped.
+    """
     if horizon <= 0:
         raise ValueError(f"horizon must be > 0, got {horizon}")
     if psf <= 0:
         raise ValueError(f"psf must be > 0, got {psf}")
-    A = [float(t) for t in arrivals if t < horizon]
+    A_arr = np.asarray(arrivals, dtype=np.float64)
+    tr.check_arrivals(A_arr)
+    A_arr = A_arr[:int(np.searchsorted(A_arr, horizon, side="left"))]
+    A = A_arr.tolist()
     n = len(A)
     geo = _CycleGeometry(cfg)
     t_in = cfg.t_in
@@ -302,22 +377,44 @@ def simulate(arrivals: Sequence[float], cfg: DrxConfig, policy: Policy,
             last_end = end
         # Active: drain the backlog, then serve any arrival that lands
         # before the countdown runs out. Each service re-arms the countdown.
-        while i < n:
-            a = A[i]
-            s = a if a > free else free
-            if s >= horizon:
-                done = True
-                break
-            tx.append(s)
-            d = s - a
-            delay_sum += d
-            c_dsum += d
-            c_cnt += 1
-            free = s + psf
-            last_end = free
-            i += 1
-            if i < n and A[i] > free + t_in:
-                break
+        # The scalar loop serves up to _SCALAR_HEAD packets; a stretch still
+        # open then goes to _drain, or back to this loop if _drain declines.
+        stop = min(i + _SCALAR_HEAD, n)
+        while True:
+            while i < stop:
+                a = A[i]
+                s = a if a > free else free
+                if s >= horizon:
+                    done = True
+                    break
+                tx.append(s)
+                d = s - a
+                delay_sum += d
+                c_dsum += d
+                c_cnt += 1
+                free = s + psf
+                last_end = free
+                i += 1
+                if i < n and A[i] > free + t_in:
+                    break
+            else:
+                if stop < n:
+                    drained = _drain(A_arr, i, free, psf, t_in, horizon)
+                    if drained is None:
+                        stop = n
+                        continue
+                    starts, done = drained
+                    if len(starts):
+                        m = i + len(starts)
+                        d = starts - A_arr[i:m]
+                        delay_sum = _running_sum(delay_sum, d)
+                        c_dsum = _running_sum(c_dsum, d)
+                        c_cnt += len(starts)
+                        tx.extend(starts.tolist())
+                        free = float(starts[-1]) + psf
+                        last_end = free
+                        i = m
+            break
 
     served = len(tx)
     mean_delay = delay_sum / served if served else math.nan
@@ -387,8 +484,14 @@ def confidence_interval(samples: Sequence[float], level: float) -> SummaryStats:
     if max(samples) == min(samples):
         return SummaryStats(mean, 0.0, n, level)  # exactly, not up to roundoff
     sd = float(np.std(samples, ddof=1))
-    t_q = float(scipy.stats.t.ppf(0.5 * (1.0 + level), n - 1))
-    return SummaryStats(mean, t_q * sd / math.sqrt(n), n, level)
+    return SummaryStats(mean, _t_quantile(level, n - 1) * sd / math.sqrt(n),
+                        n, level)
+
+
+@functools.lru_cache(maxsize=None)
+def _t_quantile(level: float, df: int) -> float:
+    # A sweep asks for the same few (level, df) pairs at every grid point.
+    return float(scipy.stats.t.ppf(0.5 * (1.0 + level), df))
 
 
 def summarize(per_seed: Sequence[tuple[float, float, float]], level: float

@@ -6,6 +6,15 @@ platforms.  The Pareto sampler uses plain inverse-transform sampling on the
 generator's 64-bit uniforms (``gap = x_m * (1 - U) ** (-1/shape)``), kept
 explicit here rather than through ``numpy.random.pareto`` so the draw count
 per gap is pinned to one and streams stay stable across numpy versions.
+
+A stream holds its arrivals as a read-only float64 ndarray, checked once in
+vectorised form (``check_arrivals``, which ``engine.simulate`` shares).
+Generators draw their gaps in blocks.  ``gen_schedule`` must leave the
+generator exactly where one draw per gap would, because the next segment
+draws on from there: it draws a block, finds the first arrival past the
+segment end, rewinds the generator to the saved state and redraws exactly
+the gaps the segment consumes.  The arrival instants are running sums from
+the segment start (``np.cumsum`` adds in order, like a scalar loop).
 """
 
 from __future__ import annotations
@@ -26,42 +35,67 @@ class TraceFormatError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True, slots=True)
-class ArrivalStream:
-    """A finite, time-ordered sequence of packet arrival instants (ms)."""
+def check_arrivals(arrivals: np.ndarray) -> None:
+    """Raise ``ValueError`` unless the instants are finite and nondecreasing
+    from 0 (so the first one is >= 0); errors name the first bad index."""
+    if arrivals.ndim != 1:
+        raise ValueError(f"arrivals must be one-dimensional, got shape "
+                         f"{arrivals.shape}")
+    bad = ~np.isfinite(arrivals)
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"arrival at index {i} is not finite: {arrivals[i]}")
+    down = np.diff(arrivals, prepend=0.0) < 0.0
+    if down.any():
+        i = int(down.argmax())
+        prev = arrivals[i - 1] if i else 0.0
+        raise ValueError(
+            f"arrivals not sorted at index {i}: {arrivals[i]} < {prev}")
 
-    arrivals: tuple[float, ...]
+
+@dataclass(frozen=True, slots=True, eq=False)
+class ArrivalStream:
+    """A finite, time-ordered sequence of packet arrival instants (ms).
+
+    ``arrivals`` may be given as any sequence of floats; the stream keeps a
+    read-only float64 ndarray copy of it.
+    """
+
+    arrivals: np.ndarray
     horizon: float
 
     def __post_init__(self) -> None:
         if self.horizon < 0:
             raise ValueError(f"horizon must be >= 0, got {self.horizon}")
-        prev = 0.0
-        for i, t in enumerate(self.arrivals):
-            if t < prev:
-                raise ValueError(f"arrivals not sorted at index {i}: {t} < {prev}")
-            prev = t
-        if self.arrivals and self.arrivals[-1] > self.horizon:
-            raise ValueError(
-                f"arrival {self.arrivals[-1]} beyond horizon {self.horizon}"
-            )
+        arr = np.array(self.arrivals, dtype=np.float64)
+        check_arrivals(arr)
+        if arr.size and arr[-1] > self.horizon:
+            raise ValueError(f"arrival {arr[-1]} beyond horizon {self.horizon}")
+        arr.flags.writeable = False
+        object.__setattr__(self, "arrivals", arr)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ArrivalStream):
+            return NotImplemented
+        return (self.horizon == other.horizon
+                and np.array_equal(self.arrivals, other.arrivals))
 
     def __len__(self) -> int:
         return len(self.arrivals)
 
 
 def _accumulate_gaps(rng: np.random.Generator, draw, rate: float,
-                     horizon: float) -> list[float]:
+                     horizon: float) -> np.ndarray:
     # Draw in chunks until the running sum passes the horizon.
-    out: list[float] = []
+    parts: list[np.ndarray] = []
     t = 0.0
     chunk = max(int(rate * horizon * 1.05) + 16, 64)
     while True:
         ts = t + np.cumsum(draw(rng, chunk))
         cut = int(np.searchsorted(ts, horizon, side="right"))
-        out.extend(ts[:cut].tolist())
+        parts.append(ts[:cut])
         if cut < len(ts):
-            return out
+            return np.concatenate(parts)
         t = float(ts[-1])
         chunk = max(chunk // 4, 64)
 
@@ -75,7 +109,7 @@ def gen_poisson(rate: float, horizon: float, seed: int) -> ArrivalStream:
     rng = np.random.default_rng(seed)
     scale = 1.0 / rate
     arr = _accumulate_gaps(rng, lambda r, n: r.exponential(scale, n), rate, horizon)
-    return ArrivalStream(tuple(arr), horizon)
+    return ArrivalStream(arr, horizon)
 
 
 def gen_pareto(rate: float, shape: float, horizon: float, seed: int) -> ArrivalStream:
@@ -100,7 +134,7 @@ def gen_pareto(rate: float, shape: float, horizon: float, seed: int) -> ArrivalS
         return x_m * (1.0 - r.random(n)) ** inv
 
     arr = _accumulate_gaps(rng, draw, rate, horizon)
-    return ArrivalStream(tuple(arr), horizon)
+    return ArrivalStream(arr, horizon)
 
 
 def gen_schedule(segments: Iterable[tuple[float, float]], seed: int) -> ArrivalStream:
@@ -109,9 +143,13 @@ def gen_schedule(segments: Iterable[tuple[float, float]], seed: int) -> ArrivalS
     ``segments`` is a sequence of (duration ms, rate packets/ms).  Each
     segment draws fresh exponential gaps from its start; by memorylessness
     this is an exact construction of the piecewise-homogeneous process.
+    A segment consumes one draw per arrival plus the draw that crosses its
+    end, as a one-gap-at-a-time loop would, so the streams do not depend on
+    the block size.  ``seed`` may also be a ``numpy.random.Generator``,
+    which is then drawn from (and left where that loop would leave it).
     """
     rng = np.random.default_rng(seed)
-    out: list[float] = []
+    parts: list[np.ndarray] = []
     t0 = 0.0
     for dur, rate in segments:
         if dur <= 0:
@@ -119,14 +157,22 @@ def gen_schedule(segments: Iterable[tuple[float, float]], seed: int) -> ArrivalS
         if rate <= 0:
             raise ValueError(f"segment rate must be > 0, got {rate}")
         end = t0 + dur
+        scale = 1.0 / rate
         t = t0
         while True:
-            t += float(rng.exponential(1.0 / rate))
-            if t >= end:
+            saved = rng.bit_generator.state
+            k = int(rate * (end - t) * 1.05) + 16
+            ts = np.cumsum(np.concatenate(([t], rng.exponential(scale, k))))[1:]
+            cut = int(np.searchsorted(ts, end, side="left"))
+            parts.append(ts[:cut])
+            if cut < k:
+                rng.bit_generator.state = saved
+                rng.exponential(scale, cut + 1)
                 break
-            out.append(t)
+            t = float(ts[-1])
         t0 = end
-    return ArrivalStream(tuple(out), t0)
+    arr = np.concatenate(parts) if parts else np.empty(0)
+    return ArrivalStream(arr, t0)
 
 
 def load_trace(source: str | bytes | IO) -> ArrivalStream:
@@ -180,9 +226,9 @@ def load_trace(source: str | bytes | IO) -> ArrivalStream:
         arrivals.append(ts)
         prev = ts
     horizon = arrivals[-1] if arrivals else 0.0
-    return ArrivalStream(tuple(arrivals), horizon)
+    return ArrivalStream(arrivals, horizon)
 
 
 def serialize_trace(stream: ArrivalStream) -> str:
     """Inverse of ``load_trace`` for valid streams (timestamps only)."""
-    return "".join(f"{t!r}\n" for t in stream.arrivals)
+    return "".join(f"{t!r}\n" for t in stream.arrivals.tolist())

@@ -14,18 +14,23 @@ deadlines (so the tie conventions are exercised), or as arbitrary floats.
 Explicit examples pin the ties that random draws rarely produce.  The
 adaptive policy has no reference here; ``test_engine_invariants`` checks
 the simulator's invariants on the same draws under all three policies.
+``test_array_path_matches_scalar`` checks that serving long active
+stretches on arrays (``engine._drain``) changes no bit of any result.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from bisect import bisect_left, bisect_right
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from drx_reference import reference_run
+from drxsim import engine
 from drxsim.drx import DrxConfig, Policy
 from drxsim.engine import simulate
 
@@ -132,3 +137,56 @@ def test_engine_invariants(arrivals, cfg, policy, psf):
         assert end < nxt
 
     assert 0.0 <= m.sleep_fraction <= 1.0
+
+
+def _bits(value):
+    # Every float as its exact hex form (nan included), through nesting.
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (tuple, list)):
+        return tuple(_bits(v) for v in value)
+    return value
+
+
+def _run_with(arrivals, cfg, policy, psf, head, chunk):
+    with mock.patch.object(engine, "_SCALAR_HEAD", head), \
+            mock.patch.object(engine, "_FIRST_CHUNK", chunk):
+        r = simulate(arrivals, cfg, policy, HORIZON, psf)
+    return _bits(dataclasses.astuple(r))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(arrivals=arrival_lists, cfg=configs(),
+       policy=st.one_of(policies, adaptive_policies),
+       psf=st.sampled_from([0.5, 0.7, 1.0, 2.0]),
+       head=st.integers(1, 4), chunk=st.integers(1, 4))
+# A gap right after the last packet of a chunk ends the stretch there; its
+# next arrival lies in the following chunk.
+@example(arrivals=[1.0, 2.0, 3.0, 50.0, 51.0], cfg=DrxConfig(10, 2, 32, 32),
+         policy=Policy.standard(), psf=1.0, head=1, chunk=2)
+# The horizon falls in the middle of a chunk: packets 3 to 6 form the
+# second chunk, and packet 5 would start at 1000.  (t_in = 1000 keeps the
+# UE awake here and in the last-arrival example.)
+@example(arrivals=[990.0, 990.5, 991.0, 991.5, 992.0, 992.5, 993.0],
+         cfg=DrxConfig(1000, 2, 32, 32), policy=Policy.standard(), psf=2.0,
+         head=1, chunk=2)
+# A gap and the horizon in the same chunk: the gap after 4.0 comes first,
+# then a burst whose continued candidate starts run past the horizon.
+@example(arrivals=[1.0, 2.0, 3.0, 4.0, 995.0, 995.5, 996.0, 996.5, 997.0],
+         cfg=DrxConfig(10, 2, 32, 32), policy=Policy.standard(), psf=2.0,
+         head=1, chunk=8)
+# The last arrival starts exactly at the horizon, with no next arrival.
+@example(arrivals=[994.0, 995.0, 996.0, 997.0],
+         cfg=DrxConfig(1000, 2, 32, 32), policy=Policy.standard(), psf=2.0,
+         head=1, chunk=2)
+# psf = 0.7 is inexact in binary, so the closed form drifts off the
+# recursion: its start for packet 7 is 4.8999999999999995, not 4.9, and
+# _drain must decline.  The stretch ends after packet 8, whose start
+# 4.9 + 0.7 = 5.6000000000000005 is computed from packet 7's.
+@example(arrivals=[0.5 * k for k in range(9)] + [100.0],
+         cfg=DrxConfig(10, 2, 32, 32), policy=Policy.standard(), psf=0.7,
+         head=1, chunk=8)
+def test_array_path_matches_scalar(arrivals, cfg, policy, psf, head, chunk):
+    scalar = _run_with(arrivals, cfg, policy, psf, len(arrivals) + 1, chunk)
+    assert _run_with(arrivals, cfg, policy, psf, head, chunk) == scalar

@@ -13,8 +13,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 
+import numpy as np
 import pytest
 
+from drxsim import engine
 from drxsim.drx import DrxConfig, Policy
 from drxsim.engine import (
     Metrics,
@@ -233,6 +235,42 @@ class TestMetricsFields:
         assert r.metrics.arrivals == 2
         assert r.metrics.packets_served == 1
         assert r.metrics.residual_backlog == 1
+
+    @pytest.mark.parametrize("arrivals", [
+        [1.0, math.nan, 2.0], [math.nan], [1.0, 2.0, math.inf],
+        [-math.inf, 1.0], [1.0, 3.0, 2.0], [-1.0, 2.0],
+    ])
+    def test_bad_arrivals_rejected(self, arrivals):
+        # Before, a NaN arrival was dropped silently (3 offered, 2 counted).
+        with pytest.raises(ValueError, match="index"):
+            simulate(arrivals, CFG, Policy.standard(), 1000.0)
+
+    def test_array_and_list_input_agree(self):
+        arrivals = [5.0, 6.0, 6.0, 300.0, 2000.0]
+        want = simulate(arrivals, CFG, Policy.fixed(2), 1000.0)
+        assert simulate(np.array(arrivals), CFG, Policy.fixed(2), 1000.0) == want
+        assert simulate(tuple(arrivals), CFG, Policy.fixed(2), 1000.0) == want
+
+
+class TestArrayPath:
+    def test_dense_run_uses_array_path(self, monkeypatch):
+        # Long active stretches must go through _drain, and at psf 1 its
+        # closed form must reproduce the scalar recursion without a fallback.
+        served, declined = [], []
+        drain = engine._drain
+
+        def counting(*args):
+            out = drain(*args)
+            if out is None:
+                declined.append(args[1])
+            else:
+                served.append(len(out[0]))
+            return out
+
+        monkeypatch.setattr(engine, "_drain", counting)
+        m = run(_scenario(Policy.standard(), rate=0.9, horizon=25000.0), 1)
+        assert declined == []
+        assert sum(served) > 0.9 * m.packets_served > 0
 
 
 class TestTraceScenario:

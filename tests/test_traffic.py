@@ -28,6 +28,23 @@ def _gaps(stream: ArrivalStream) -> np.ndarray:
     return np.diff(np.concatenate(([0.0], np.asarray(stream.arrivals))))
 
 
+def _schedule_oracle(segments, rng: np.random.Generator) -> list[float]:
+    # gen_schedule's arrivals drawn one gap at a time: each segment draws
+    # until a running sum from its start crosses its end.
+    out: list[float] = []
+    t0 = 0.0
+    for dur, rate in segments:
+        end = t0 + dur
+        t = t0
+        while True:
+            t += float(rng.exponential(1.0 / rate))
+            if t >= end:
+                break
+            out.append(t)
+        t0 = end
+    return out
+
+
 class TestPoisson:
     def test_mean_gap_within_3_sigma_low_rate(self):
         s = gen_poisson(0.1, 100000.0, seed=7)
@@ -91,6 +108,27 @@ class TestSchedule:
         assert abs(n1 - 5000) < 3.0 * math.sqrt(5000)
         assert abs(n2 - 20000) < 3.0 * math.sqrt(20000)
 
+    def test_matches_one_draw_oracle(self):
+        # Block draws with a rewind must give the one-at-a-time arrivals
+        # and leave the generator where the oracle leaves it.  Short
+        # segments at low rates draw no arrival at all.
+        picker = np.random.default_rng(2024)
+        empty = 0
+        for seed in range(300):
+            segs = [(float(picker.choice([0.3, 4.0, 100.0, 5000.0])),
+                     float(picker.choice([0.002, 0.05, 0.4, 3.0])))
+                    for _ in range(int(picker.integers(1, 6)))]
+            want_rng = np.random.default_rng(seed)
+            want = _schedule_oracle(segs, want_rng)
+            got_rng = np.random.default_rng(seed)
+            got = gen_schedule(segs, got_rng)
+            assert got.arrivals.tolist() == want, (seed, segs)
+            assert got.horizon == sum(d for d, _ in segs)
+            assert got_rng.random() == want_rng.random(), (seed, segs)
+            edges = np.cumsum([0.0] + [d for d, _ in segs])
+            empty += int((np.diff(np.searchsorted(want, edges)) == 0).sum())
+        assert empty > 100
+
     def test_bad_segments(self):
         with pytest.raises(ValueError):
             gen_schedule([(0.0, 0.1)], 1)
@@ -101,7 +139,7 @@ class TestSchedule:
 class TestTrace:
     def test_basic_parse(self):
         s = load_trace("0.0\n3.2\n10.5\n")
-        assert s.arrivals == (0.0, 3.2, 10.5)
+        assert s.arrivals.tolist() == [0.0, 3.2, 10.5]
         assert s.horizon == 10.5
 
     def test_order_violation(self):
@@ -111,11 +149,11 @@ class TestTrace:
 
     def test_empty_input(self):
         s = load_trace("")
-        assert s.arrivals == () and s.horizon == 0.0
+        assert s.arrivals.tolist() == [] and s.horizon == 0.0
 
     def test_comments_and_sizes(self):
         s = load_trace("# header\n1.5,1400\n\n2.5,60\n")
-        assert s.arrivals == (1.5, 2.5)
+        assert s.arrivals.tolist() == [1.5, 2.5]
 
     def test_bad_timestamp_names_line(self):
         with pytest.raises(TraceFormatError) as err:
@@ -135,7 +173,7 @@ class TestTrace:
         path.write_text("1.0\n2.0\n")
         with open(path, "rb") as fh:
             s = load_trace(fh)
-        assert s.arrivals == (1.0, 2.0)
+        assert s.arrivals.tolist() == [1.0, 2.0]
         assert load_trace(b"1.0\n2.0\n") == s
 
     def test_roundtrip_identity(self):
@@ -145,7 +183,8 @@ class TestTrace:
         born = load_trace(serialize_trace(gen_poisson(0.2, 5000.0, 13)))
         assert load_trace(serialize_trace(born)) == born
         s = gen_pareto(0.2, 1.5, 5000.0, 13)
-        assert load_trace(serialize_trace(s)).arrivals == s.arrivals
+        assert (load_trace(serialize_trace(s)).arrivals.tolist()
+                == s.arrivals.tolist())
 
 
 class TestRateEstimator:
@@ -190,6 +229,27 @@ class TestArrivalStream:
     def test_sorted_enforced(self):
         with pytest.raises(ValueError):
             ArrivalStream((2.0, 1.0), 10.0)
+        with pytest.raises(ValueError, match="index 2: 1.5 < 2.0"):
+            ArrivalStream((1.0, 2.0, 1.5), 10.0)
+        with pytest.raises(ValueError, match="index 0"):
+            ArrivalStream((-1.0, 2.0), 10.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="index 1 is not finite"):
+            ArrivalStream((1.0, bad, 2.0), 10.0)
+
+    def test_read_only_float_array(self):
+        s = ArrivalStream([1, 2.5], 10.0)
+        assert s.arrivals.dtype == np.float64 and s.arrivals.tolist() == [1.0, 2.5]
+        with pytest.raises(ValueError):
+            s.arrivals[0] = 0.0
+
+    def test_equality(self):
+        assert ArrivalStream((1.0, 2.0), 10.0) == ArrivalStream([1.0, 2.0], 10.0)
+        assert ArrivalStream((1.0, 2.0), 10.0) != ArrivalStream((1.0, 2.0), 11.0)
+        assert ArrivalStream((1.0, 2.0), 10.0) != ArrivalStream((1.0, 3.0), 10.0)
+        assert ArrivalStream((), 10.0) != ArrivalStream((1.0,), 10.0)
 
     def test_horizon_enforced(self):
         with pytest.raises(ValueError):
