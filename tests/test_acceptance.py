@@ -532,7 +532,8 @@ def test_c10_identical_spec_identical_csv():
 def test_c10_interval_matches_hand_student_t():
     s = confidence_interval([0.0, 2.0], 0.95)
     assert s.mean == 1.0
-    assert s.ci_half_width == pytest.approx(12.706204736432095, rel=1e-9)
+    # t(1, 0.975) = tan(0.475 pi)
+    assert s.ci_half_width == pytest.approx(12.706204736174694, rel=1e-13)
     samples = [4.0, 5.5, 3.8, 4.9, 5.1, 4.4, 5.0, 4.2, 4.7, 5.3]
     n = len(samples)
     mean = sum(samples) / n

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import io
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -312,3 +314,16 @@ class TestBundledExperiments:
         else:
             grid = len(spec.policies)
         assert grid == points
+
+
+def test_import_loads_no_scipy():
+    # Importing scipy.stats alone takes over a second, most of a cold
+    # start; the command line needs numpy and the standard library only.
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("import drxsim.cli, sys; print(sorted(m for m in sys.modules"
+            " if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

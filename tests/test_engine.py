@@ -346,11 +346,11 @@ class TestConfidenceInterval:
         assert s.mean == 1.0 and s.ci_half_width == 0.0
 
     def test_two_samples_hand_value(self):
-        # mean 1, s = sqrt(2), t(1, 0.975) = 12.7062047...: half width
-        # 12.7062 * sqrt(2) / sqrt(2) = 12.7062
+        # mean 1, s = sqrt(2), t(1, 0.975) = tan(0.475 pi) = 12.7062047...:
+        # half width 12.7062 * sqrt(2) / sqrt(2) = 12.7062
         s = confidence_interval([0.0, 2.0], 0.95)
         assert s.mean == 1.0
-        assert s.ci_half_width == pytest.approx(12.706204736432095, rel=1e-9)
+        assert s.ci_half_width == pytest.approx(12.706204736174694, rel=1e-13)
 
     def test_ten_samples_t_factor(self):
         samples = [3.1, 2.7, 3.3, 2.9, 3.0, 3.6, 2.5, 3.2, 2.8, 3.4]
@@ -366,6 +366,48 @@ class TestConfidenceInterval:
     ])
     def test_non_finite_sample_gives_nan_half_width(self, samples):
         assert math.isnan(confidence_interval(samples, 0.95).ci_half_width)
+
+    @staticmethod
+    def _t_oracle(level, df):
+        # The root of I_{df/(df+t^2)}(df/2, 1/2) = 1 - level at 40 digits,
+        # for the float level, bracketed by 0 and the df 1 quantile.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            half, tail = mpmath.mpf(1) / 2, 1 - mpmath.mpf(level)
+            hi = mpmath.tan(mpmath.pi * level / 2)
+            return mpmath.findroot(
+                lambda t: mpmath.betainc(df * half, half, 0, df / (df + t * t),
+                                         regularized=True) - tail,
+                (0, hi), solver="illinois")
+
+    @pytest.mark.parametrize("level", [0.9, 0.95, 0.99])
+    def test_t_quantile_matches_high_precision(self, level):
+        errors = {df: abs(engine._t_quantile(level, df)
+                          / self._t_oracle(level, df) - 1)
+                  for df in range(1, 61)}
+        worst = max(errors, key=errors.get)
+        assert errors[worst] < 1e-13, f"df {worst}: error {errors[worst]}"
+
+    @pytest.mark.parametrize("level", [0.5, 0.95])
+    @pytest.mark.parametrize("df", [120, 1000, 10_000])
+    def test_t_quantile_large_df(self, df, level):
+        # At df 1e4 and level 0.5 the fraction in x alone is 2.7e-12 off.
+        assert engine._t_quantile(level, df) == pytest.approx(
+            float(self._t_oracle(level, df)), rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("level", [0.5, 0.9, 0.95, 0.99])
+    def test_t_quantile_closed_forms(self, level):
+        assert engine._t_quantile(level, 1) == math.tan(0.5 * math.pi * level)
+        assert engine._t_quantile(level, 2) == level * math.sqrt(
+            2.0 / (1.0 - level * level))
+
+    def test_t_quantile_raises_when_unconverged(self, monkeypatch):
+        monkeypatch.setattr(engine, "_NEWTON_STEPS", 2)
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            engine._t_quantile.__wrapped__(0.95, 9)
+        monkeypatch.setattr(engine, "_CF_TERMS", 2)
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            engine._beta_cf(4.5, 0.5, 0.6)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
