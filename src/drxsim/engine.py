@@ -27,7 +27,15 @@ Every run returns one ``RunResult``: the metrics, each served packet's
 arrival and transmission start, and each DRX stretch as its enable instant
 (``boundaries``), threshold and end (``stretch_ends``: the release instant,
 or the horizon).  ``slice_stats`` reads the statistics of any time window
-off that shape.
+off that shape.  Per-packet output is built only where it is read: the
+arrivals are a view of the checked input array, and the transmission
+starts stay in the segments the loop produced (lists from the scalar
+loop, arrays from ``_drain``) until ``tx_starts`` is first read.  The
+sleep total is summed once after the loop, from an elementwise form of
+the cycle geometry (``_CycleGeometry.sleep_in``) added in stretch order;
+each term, and so the total, is bit-identical to a per-stretch scalar
+walk.  Every float sum here is in order (``_running_sum``), never
+Python's ``sum``, which is compensated from CPython 3.12 on.
 
 The EMA arrival-rate estimate the adaptive controller reads is computed
 here too (``_lambda_hat_series``).
@@ -53,7 +61,7 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -96,11 +104,12 @@ class ScheduleTraffic:
 
     @property
     def total_duration(self) -> float:
-        return sum(d for d, _ in self.segments)
+        return _running_sum(0.0, [d for d, _ in self.segments])
 
     @property
     def mean_rate(self) -> float:
-        return sum(d * r for d, r in self.segments) / self.total_duration
+        return (_running_sum(0.0, [d * r for d, r in self.segments])
+                / self.total_duration)
 
 
 TrafficKind = PoissonTraffic | ParetoTraffic | TraceTraffic | ScheduleTraffic
@@ -149,15 +158,18 @@ class SummaryStats:
     level: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, eq=False)
 class RunResult:
     """Metrics plus the per-packet and per-stretch results of one run.
 
     Every run returns this one shape.  Packets are served FIFO, so
-    ``arrivals`` and ``tx_starts`` (one entry per served packet) are both
-    sorted.  DRX stretch k runs from ``boundaries[k]`` to ``stretch_ends[k]``,
-    its release instant or the horizon: the UE sleeps and listens on that
-    span and transmits nothing inside it.
+    ``arrivals`` and ``tx_starts`` (one entry per served packet, read-only
+    float64 arrays) are both sorted.  ``tx_starts`` is joined from the
+    loop's segments the first time it is read, then cached; a caller that
+    reads only ``metrics`` never builds it.  DRX stretch k runs from
+    ``boundaries[k]`` to ``stretch_ends[k]``, its release instant or the
+    horizon: the UE sleeps and listens on that span and transmits nothing
+    inside it.  Equality is exact, field by field.
     """
 
     metrics: Metrics
@@ -165,9 +177,26 @@ class RunResult:
     boundaries: tuple[float, ...]
     # Threshold in effect from each boundary on (post-update values).
     thresholds: tuple[float, ...]
-    arrivals: tuple[float, ...]
-    tx_starts: tuple[float, ...]
+    arrivals: np.ndarray
     stretch_ends: tuple[float, ...]
+    # Transmission starts as the loop produced them: lists and arrays.
+    _tx_parts: tuple = field(repr=False)
+
+    @functools.cached_property
+    def tx_starts(self) -> np.ndarray:
+        out = np.concatenate(self._tx_parts)
+        out.flags.writeable = False
+        return out
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RunResult):
+            return NotImplemented
+        return (self.metrics == other.metrics
+                and self.boundaries == other.boundaries
+                and self.thresholds == other.thresholds
+                and self.stretch_ends == other.stretch_ends
+                and np.array_equal(self.arrivals, other.arrivals)
+                and np.array_equal(self.tx_starts, other.tx_starts))
 
 
 class _CycleGeometry:
@@ -202,26 +231,27 @@ class _CycleGeometry:
             return t_q  # UE already listening
         return t0 + ck + clen - self.t_on  # next window start
 
-    def sleep_between(self, t0: float, t_end: float) -> float:
-        """Total low-power time in [t0, t_end) of a DRX stretch starting t0."""
-        span = t_end - t0
-        if span <= 0.0:
-            return 0.0
-        sleep = 0.0
+    def sleep_in(self, t0: np.ndarray, t_end: np.ndarray | float) -> np.ndarray:
+        """Low-power time in [t0, t_end) of DRX stretches enabled at t0.
+
+        Elementwise, with a scalar walk's operations in its order (short
+        phase, long phase's whole cycles, its remainder), so each entry is
+        bit-identical to that walk.  A span <= 0 sleeps 0.
+        """
+        span = np.subtract(t_end, t0)
+        sleep = np.zeros_like(span)
+        rest = span
         if self.short_span > 0.0:
-            part = span if span < self.short_span else self.short_span
-            full = int(part / self.t_s)
-            sleep += full * (self.t_s - self.t_on)
-            rem = part - full * self.t_s
-            sleep += min(rem, self.t_s - self.t_on)
-            if span <= self.short_span:
-                return sleep
-            span -= self.short_span
-        full = int(span / self.t_l)
-        sleep += full * (self.t_l - self.t_on)
-        rem = span - full * self.t_l
-        sleep += min(rem, self.t_l - self.t_on)
-        return sleep
+            part = np.minimum(span, self.short_span)
+            full = np.floor(part / self.t_s)
+            sleep = (full * (self.t_s - self.t_on)
+                     + np.minimum(part - full * self.t_s, self.t_s - self.t_on))
+            rest = span - self.short_span
+        full = np.floor(rest / self.t_l)
+        long_ = ((sleep + full * (self.t_l - self.t_on))
+                 + np.minimum(rest - full * self.t_l, self.t_l - self.t_on))
+        sleep = np.where(rest > 0.0, long_, sleep)
+        return np.where(span > 0.0, sleep, 0.0)
 
 
 def _lambda_hat_series(arrivals: Sequence[float], k_ema: float) -> list[float]:
@@ -298,24 +328,31 @@ def _drain(A: np.ndarray, i: int, free: float, psf: float, t_in: float,
     return np.concatenate(parts), False
 
 
-def _running_sum(start: float, d: np.ndarray) -> float:
+def _running_sum(start: float, d: Sequence[float] | np.ndarray) -> float:
     # ``start + d[0] + d[1] + ...`` in order, as ``+=`` would add them.
     return float(np.add.accumulate(np.concatenate(([start], d)))[-1])
 
 
-def simulate(arrivals: Sequence[float] | np.ndarray, cfg: DrxConfig,
-             policy: Policy, horizon: float, psf: float = 1.0) -> RunResult:
+def simulate(arrivals: Sequence[float] | np.ndarray | tr.ArrivalStream,
+             cfg: DrxConfig, policy: Policy, horizon: float,
+             psf: float = 1.0) -> RunResult:
     """Run the queue + DRX machine over a fixed arrival sequence.
 
     ``arrivals`` must be finite and nondecreasing from 0 (``ValueError``
-    otherwise); those at or after the horizon are dropped.
+    otherwise); those at or after the horizon are dropped.  An
+    ``ArrivalStream`` was checked when it was built and is used as is; any
+    other sequence is copied and checked here.
     """
     if horizon <= 0:
         raise ValueError(f"horizon must be > 0, got {horizon}")
     if psf <= 0:
         raise ValueError(f"psf must be > 0, got {psf}")
-    A_arr = np.asarray(arrivals, dtype=np.float64)
-    tr.check_arrivals(A_arr)
+    if isinstance(arrivals, tr.ArrivalStream):
+        A_arr = arrivals.arrivals
+    else:
+        A_arr = np.array(arrivals, dtype=np.float64)
+        tr.check_arrivals(A_arr)
+        A_arr.flags.writeable = False
     A_arr = A_arr[:int(np.searchsorted(A_arr, horizon, side="left"))]
     A = A_arr.tolist()
     n = len(A)
@@ -331,23 +368,24 @@ def simulate(arrivals: Sequence[float] | np.ndarray, cfg: DrxConfig,
     else:
         q_w = policy.q_w if policy.kind is PolicyKind.FIXED_COALESCING else 1.0
 
+    # The scalar loop appends starts to ``tx``; an array from ``_drain``
+    # closes it.  RunResult joins the parts if ``tx_starts`` is read.
     tx: list[float] = []
+    tx_parts: list[list[float] | np.ndarray] = []
     boundaries: list[float] = []
     thresholds: list[float] = []
     stretch_ends: list[float] = []
     per_cycle: list[tuple[float | None, float]] = []
 
-    sleep_total = 0.0
     delay_sum = 0.0
     c_dsum = 0.0
     c_cnt = 0
     free = 0.0
-    last_end = 0.0
     i = 0
     done = False
 
     while not done:
-        expiry = last_end + t_in
+        expiry = free + t_in
         if not (i < n and A[i] <= expiry):
             # Queue empty and no arrival inside the countdown: DRX next.
             if expiry >= horizon:
@@ -369,11 +407,9 @@ def simulate(arrivals: Sequence[float] | np.ndarray, cfg: DrxConfig,
                 rel = geo.release_at(t0, A[j])
                 end = rel if rel < horizon else horizon
             stretch_ends.append(end)
-            sleep_total += geo.sleep_between(t0, end)
             if end >= horizon:
                 break
             free = end
-            last_end = end
         # Active: drain the backlog, then serve any arrival that lands
         # before the countdown runs out. Each service re-arms the countdown.
         # The scalar loop serves up to _SCALAR_HEAD packets; a stretch still
@@ -392,7 +428,6 @@ def simulate(arrivals: Sequence[float] | np.ndarray, cfg: DrxConfig,
                 c_dsum += d
                 c_cnt += 1
                 free = s + psf
-                last_end = free
                 i += 1
                 if i < n and A[i] > free + t_in:
                     break
@@ -409,18 +444,22 @@ def simulate(arrivals: Sequence[float] | np.ndarray, cfg: DrxConfig,
                         delay_sum = _running_sum(delay_sum, d)
                         c_dsum = _running_sum(c_dsum, d)
                         c_cnt += len(starts)
-                        tx.extend(starts.tolist())
+                        tx_parts += (tx, starts)
+                        tx = []
                         free = float(starts[-1]) + psf
-                        last_end = free
                         i = m
             break
+    tx_parts.append(tx)
 
-    served = len(tx)
+    # Every packet before i was served, and none after.
+    served = i
+    sleep = geo.sleep_in(np.array(boundaries), np.array(stretch_ends))
     mean_delay = delay_sum / served if served else math.nan
-    mean_q_w = (sum(thresholds) / len(thresholds)) if thresholds else q_w
+    mean_q_w = (_running_sum(0.0, thresholds) / len(thresholds)
+                if thresholds else q_w)
     metrics = Metrics(
         mean_delay=mean_delay,
-        sleep_fraction=sleep_total / horizon,
+        sleep_fraction=_running_sum(0.0, sleep) / horizon,
         mean_q_w=mean_q_w,
         packets_served=served,
         arrivals=n,
@@ -431,9 +470,9 @@ def simulate(arrivals: Sequence[float] | np.ndarray, cfg: DrxConfig,
         metrics=metrics,
         boundaries=tuple(boundaries),
         thresholds=tuple(thresholds),
-        arrivals=tuple(A[:served]),
-        tx_starts=tuple(tx),
+        arrivals=A_arr[:served],
         stretch_ends=tuple(stretch_ends),
+        _tx_parts=tuple(tx_parts),
     )
 
 
@@ -454,14 +493,14 @@ def make_arrivals(traffic: TrafficKind, horizon: float, seed: int) -> tr.Arrival
 def run_detailed(scenario: Scenario, seed: int) -> RunResult:
     """One deterministic run with its per-packet and per-stretch results."""
     stream = make_arrivals(scenario.traffic, scenario.horizon, seed)
-    return simulate(stream.arrivals, scenario.cfg, scenario.policy,
+    return simulate(stream, scenario.cfg, scenario.policy,
                     scenario.horizon, scenario.psf)
 
 
 def run(scenario: Scenario, seed: int) -> Metrics:
     """One deterministic run; see the module docstring for the semantics."""
     stream = make_arrivals(scenario.traffic, scenario.horizon, seed)
-    return simulate(stream.arrivals, scenario.cfg, scenario.policy,
+    return simulate(stream, scenario.cfg, scenario.policy,
                     scenario.horizon, scenario.psf).metrics
 
 
@@ -613,19 +652,18 @@ def slice_stats(result: RunResult, cfg: DrxConfig, start: float, end: float
     Packets are assigned to the window by transmission start; ``cfg`` is
     the DRX configuration the run used, which lays out each stretch's sleep.
     """
-    lo = bisect_left(result.tx_starts, start)
-    hi = bisect_left(result.tx_starts, end)
-    delays = [t - a for a, t in zip(result.arrivals[lo:hi],
-                                    result.tx_starts[lo:hi])]
-    geo = _CycleGeometry(cfg)
-    sleep = 0.0
+    tx = result.tx_starts
+    lo = int(np.searchsorted(tx, start, side="left"))
+    hi = int(np.searchsorted(tx, end, side="left"))
+    served = hi - lo
     first = bisect_right(result.stretch_ends, start)
     last = bisect_left(result.boundaries, end)
-    for t0, t_end in zip(result.boundaries[first:last],
-                         result.stretch_ends[first:last]):
-        sleep += (geo.sleep_between(t0, min(t_end, end))
-                  - geo.sleep_between(t0, start))
+    t0 = np.array(result.boundaries[first:last])
+    t_end = np.minimum(np.array(result.stretch_ends[first:last]), end)
+    geo = _CycleGeometry(cfg)
+    sleep = _running_sum(0.0, geo.sleep_in(t0, t_end) - geo.sleep_in(t0, start))
     qs = result.thresholds[bisect_left(result.boundaries, start):last]
-    mean_delay = sum(delays) / len(delays) if delays else math.nan
-    mean_q = sum(qs) / len(qs) if qs else math.nan
-    return mean_delay, sleep / (end - start), mean_q, len(delays)
+    mean_delay = (_running_sum(0.0, tx[lo:hi] - result.arrivals[lo:hi]) / served
+                  if served else math.nan)
+    mean_q = _running_sum(0.0, qs) / len(qs) if qs else math.nan
+    return mean_delay, sleep / (end - start), mean_q, served

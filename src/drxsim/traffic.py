@@ -8,7 +8,9 @@ explicit here rather than through ``numpy.random.pareto`` so the draw count
 per gap is pinned to one and streams stay stable across numpy versions.
 
 A stream holds its arrivals as a read-only float64 ndarray, checked once in
-vectorised form (``check_arrivals``, which ``engine.simulate`` shares).
+vectorised form (``check_arrivals``, which ``engine.simulate`` shares for
+other inputs; a stream it is given is not checked again).  Generators hand
+their fresh array over without a copy.
 Generators draw their gaps in blocks.  ``gen_schedule`` must leave the
 generator exactly where one draw per gap would, because the next segment
 draws on from there: it draws a block, finds the first arrival past the
@@ -58,7 +60,8 @@ class ArrivalStream:
     """A finite, time-ordered sequence of packet arrival instants (ms).
 
     ``arrivals`` may be given as any sequence of floats; the stream keeps a
-    read-only float64 ndarray copy of it.
+    read-only float64 ndarray copy of it.  A read-only float64 array that
+    owns its data (as the generators make) is kept without a copy.
     """
 
     arrivals: np.ndarray
@@ -67,7 +70,10 @@ class ArrivalStream:
     def __post_init__(self) -> None:
         if self.horizon < 0:
             raise ValueError(f"horizon must be >= 0, got {self.horizon}")
-        arr = np.array(self.arrivals, dtype=np.float64)
+        arr = self.arrivals
+        if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64
+                and arr.flags.owndata and not arr.flags.writeable):
+            arr = np.array(arr, dtype=np.float64)
         check_arrivals(arr)
         if arr.size and arr[-1] > self.horizon:
             raise ValueError(f"arrival {arr[-1]} beyond horizon {self.horizon}")
@@ -84,6 +90,13 @@ class ArrivalStream:
         return len(self.arrivals)
 
 
+def _fresh(parts: list[np.ndarray]) -> np.ndarray:
+    # A new read-only array, for ArrivalStream to keep without a copy.
+    arr = np.concatenate(parts) if parts else np.empty(0)
+    arr.flags.writeable = False
+    return arr
+
+
 def _accumulate_gaps(rng: np.random.Generator, draw, rate: float,
                      horizon: float) -> np.ndarray:
     # Draw in chunks until the running sum passes the horizon.
@@ -95,7 +108,7 @@ def _accumulate_gaps(rng: np.random.Generator, draw, rate: float,
         cut = int(np.searchsorted(ts, horizon, side="right"))
         parts.append(ts[:cut])
         if cut < len(ts):
-            return np.concatenate(parts)
+            return _fresh(parts)
         t = float(ts[-1])
         chunk = max(chunk // 4, 64)
 
@@ -171,8 +184,7 @@ def gen_schedule(segments: Iterable[tuple[float, float]], seed: int) -> ArrivalS
                 break
             t = float(ts[-1])
         t0 = end
-    arr = np.concatenate(parts) if parts else np.empty(0)
-    return ArrivalStream(arr, t0)
+    return ArrivalStream(_fresh(parts), t0)
 
 
 def load_trace(source: str | bytes | IO) -> ArrivalStream:

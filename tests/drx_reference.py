@@ -6,6 +6,8 @@ keeps the explicit machine as an oracle for it.  ``advance`` applies one
 timer or release event, ``enter_countdown`` arms the inactivity timer when
 the queue drains, and ``reference_run`` drives both through a queue one
 event at a time.  ``tests/test_differential.py`` compares the two.
+``sleep_between`` is the scalar walk of one stretch's cycle layout that the
+engine's elementwise ``_CycleGeometry.sleep_in`` must reproduce bit for bit.
 
 Timeline convention: a DRX cycle of length L consists of a low-power period
 of ``L - t_on`` followed by an on-duration of ``t_on`` that closes the cycle.
@@ -229,3 +231,30 @@ def reference_run(arrivals: Sequence[float], cfg: DrxConfig, policy: Policy,
     if state.mode is Mode.SLEEPING:
         sleep += horizon - asleep_since
     return ReferenceRun(tuple(records), tuple(boundaries), sleep / horizon)
+
+
+def sleep_between(cfg: DrxConfig, t0: float, t_end: float) -> float:
+    """Total low-power time in [t0, t_end) of a DRX stretch enabled at t0.
+
+    Walks the short phase, then the long one: whole cycles sleep
+    ``length - t_on`` each, a partial cycle sleeps at most that.
+    """
+    span = t_end - t0
+    if span <= 0.0:
+        return 0.0
+    sleep = 0.0
+    short_span = cfg.n_short * cfg.t_short
+    if short_span > 0.0:
+        part = span if span < short_span else short_span
+        full = int(part / cfg.t_short)
+        sleep += full * (cfg.t_short - cfg.t_on)
+        rem = part - full * cfg.t_short
+        sleep += min(rem, cfg.t_short - cfg.t_on)
+        if span <= short_span:
+            return sleep
+        span -= short_span
+    full = int(span / cfg.t_long)
+    sleep += full * (cfg.t_long - cfg.t_on)
+    rem = span - full * cfg.t_long
+    sleep += min(rem, cfg.t_long - cfg.t_on)
+    return sleep

@@ -129,7 +129,8 @@ def test_c02_degenerate_equivalence():
         horizon = 20_000.0
         a = run_detailed(Scenario(CFG, Policy.fixed(1), traffic, horizon), seed)
         b = run_detailed(Scenario(CFG, Policy.standard(), traffic, horizon), seed)
-        assert (a.arrivals, a.tx_starts) == (b.arrivals, b.tx_starts), (
+        assert ((a.arrivals.tolist(), a.tx_starts.tolist())
+                == (b.arrivals.tolist(), b.tx_starts.tolist())), (
             f"trial {trial}: {traffic}, seed {seed}")
         assert a.metrics == b.metrics
 

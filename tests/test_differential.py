@@ -15,7 +15,9 @@ Explicit examples pin the ties that random draws rarely produce.  The
 adaptive policy has no reference here; ``test_engine_invariants`` checks
 the simulator's invariants on the same draws under all three policies.
 ``test_array_path_matches_scalar`` checks that serving long active
-stretches on arrays (``engine._drain``) changes no bit of any result.
+stretches on arrays (``engine._drain``) changes no bit of any result, and
+``test_sleep_in_matches_scalar_walk`` that the elementwise sleep layout
+matches the scalar walk bit for bit.
 """
 
 from __future__ import annotations
@@ -25,11 +27,12 @@ import math
 from bisect import bisect_left, bisect_right
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from drx_reference import reference_run
+from drx_reference import reference_run, sleep_between
 from drxsim import engine
 from drxsim.drx import DrxConfig, Policy
 from drxsim.engine import simulate
@@ -111,14 +114,14 @@ adaptive_policies = st.builds(
          policy=Policy.standard(), psf=1.0)
 def test_engine_invariants(arrivals, cfg, policy, psf):
     r = simulate(arrivals, cfg, policy, HORIZON, psf)
-    m, tx = r.metrics, r.tx_starts
+    m, tx = r.metrics, r.tx_starts.tolist()
     offered = [a for a in arrivals if a < HORIZON]
 
     # Served plus residual backlog is every arrival; service is FIFO.
     assert m.arrivals == len(offered)
     assert m.packets_served == len(tx) <= m.arrivals
-    assert r.arrivals == tuple(offered[:len(tx)])
-    for a, t in zip(r.arrivals, tx):
+    assert r.arrivals.tolist() == offered[:len(tx)]
+    for a, t in zip(r.arrivals.tolist(), tx):
         assert a <= t < HORIZON
     # The engine frees the server at start + psf; compare in that form.
     for prev, nxt in zip(tx, tx[1:]):
@@ -152,7 +155,8 @@ def _run_with(arrivals, cfg, policy, psf, head, chunk):
     with mock.patch.object(engine, "_SCALAR_HEAD", head), \
             mock.patch.object(engine, "_FIRST_CHUNK", chunk):
         r = simulate(arrivals, cfg, policy, HORIZON, psf)
-    return _bits(dataclasses.astuple(r))
+    return _bits((dataclasses.astuple(r.metrics), r.boundaries, r.thresholds,
+                  r.arrivals.tolist(), r.tx_starts.tolist(), r.stretch_ends))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None,
@@ -190,3 +194,43 @@ def _run_with(arrivals, cfg, policy, psf, head, chunk):
 def test_array_path_matches_scalar(arrivals, cfg, policy, psf, head, chunk):
     scalar = _run_with(arrivals, cfg, policy, psf, len(arrivals) + 1, chunk)
     assert _run_with(arrivals, cfg, policy, psf, head, chunk) == scalar
+
+
+@st.composite
+def float_configs(draw):
+    # Timers off the half-millisecond grid, so the layout arithmetic rounds.
+    t_on = draw(st.floats(0.1, 8.0))
+    t_short = t_on + draw(st.floats(0.1, 40.0))
+    t_long = t_short + draw(st.sampled_from([0.0, draw(st.floats(0.1, 80.0))]))
+    return DrxConfig(draw(st.floats(0.0, 20.0)), t_on, t_short, t_long,
+                     draw(st.integers(0, 4)))
+
+
+@st.composite
+def stretch_ends(draw, cfg, t0):
+    # Offsets from t0: window edges of the short and the long phase (where
+    # a stretch often ends), arbitrary spans, and spans <= 0.
+    short = cfg.n_short * cfg.t_short
+    k = draw(st.integers(0, 6))
+    edge = draw(st.sampled_from([
+        min(k, cfg.n_short) * cfg.t_short,
+        min(k + 1, cfg.n_short) * cfg.t_short - cfg.t_on,
+        short + k * cfg.t_long,
+        short + (k + 1) * cfg.t_long - cfg.t_on,
+    ]))
+    off = draw(st.one_of(st.just(edge), st.floats(-50.0, 600.0),
+                         st.just(0.0), st.floats(-50.0, 0.0)))
+    return t0 + off
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), cfg=st.one_of(configs(), float_configs()),
+       t0=st.one_of(_grid(0.0, 1000.0, 0.5), st.floats(0.0, 1000.0)))
+def test_sleep_in_matches_scalar_walk(data, cfg, t0):
+    ends = data.draw(st.lists(stretch_ends(cfg, t0), min_size=1, max_size=8))
+    geo = engine._CycleGeometry(cfg)
+    want = [sleep_between(cfg, t0, e).hex() for e in ends]
+    starts = np.full(len(ends), t0)
+    assert [v.hex() for v in geo.sleep_in(starts, np.array(ends)).tolist()] == want
+    # slice_stats passes a scalar end for every stretch.
+    assert [geo.sleep_in(starts, e)[0].item().hex() for e in ends] == want

@@ -10,13 +10,15 @@ the event-by-event state machine of ``tests/drx_reference.py`` is
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
 
-from drxsim import engine
+from drxsim import engine, traffic
 from drxsim.drx import DrxConfig, Policy
 from drxsim.engine import (
     Metrics,
@@ -43,6 +45,12 @@ def _scenario(policy, rate=0.3, horizon=H, cfg=CFG):
 
 def _result(policy, rate=0.3, seed=1, horizon=H, cfg=CFG):
     return run_detailed(_scenario(policy, rate, horizon, cfg), seed)
+
+
+def _fields(r):
+    # Every field of a RunResult, the per-packet arrays as float lists.
+    return (r.metrics, r.boundaries, r.thresholds, r.arrivals.tolist(),
+            r.tx_starts.tolist(), r.stretch_ends)
 
 
 class TestStructuralInvariants:
@@ -126,14 +134,60 @@ class TestDeterminism:
         assert run(sc, 7) != run(sc, 8)
 
 
+class TestDeferredOutput:
+    """Per-packet output is read-only arrays, built only where it is read."""
+
+    def test_per_packet_fields_are_read_only_arrays(self):
+        given = np.array([5.0, 6.0, 6.0, 300.0, 2000.0])
+        for r in (_result(Policy.fixed(8), rate=0.9),
+                  simulate(given, CFG, Policy.fixed(2), 1000.0),
+                  simulate([], CFG, Policy.standard(), 1000.0)):
+            assert len(r.arrivals) == len(r.tx_starts) == r.metrics.packets_served
+            for arr in (r.arrivals, r.tx_starts):
+                assert isinstance(arr, np.ndarray)
+                assert arr.dtype == np.float64 and arr.ndim == 1
+                assert not arr.flags.writeable
+        # The caller's array is copied, not frozen or aliased.
+        r = simulate(given, CFG, Policy.fixed(2), 1000.0)
+        given[0] = 1.0
+        assert r.arrivals.tolist() == [5.0, 6.0, 6.0]
+
+    @pytest.mark.parametrize("policy", [
+        Policy.standard(), Policy.fixed(8), Policy.adaptive(64, 128),
+    ])
+    @pytest.mark.parametrize("traffic", [
+        PoissonTraffic(0.9), ParetoTraffic(0.3, 1.5),
+        ScheduleTraffic(((5000.0, 0.1), (5000.0, 0.6))),
+    ])
+    def test_run_is_run_detailed_metrics(self, policy, traffic):
+        sc = Scenario(CFG, policy, traffic, 10000.0)
+        assert run(sc, 3) == run_detailed(sc, 3).metrics
+
+    def test_metrics_only_path_leaves_tx_starts_unbuilt(self, monkeypatch):
+        results = []
+        sim = engine.simulate
+
+        def keep(*args):
+            results.append(sim(*args))
+            return results[-1]
+
+        monkeypatch.setattr(engine, "simulate", keep)
+        run(_scenario(Policy.fixed(8), rate=0.9), 1)
+        (r,) = results
+        assert "tx_starts" not in vars(r)
+        starts = r.tx_starts
+        assert vars(r)["tx_starts"] is starts is r.tx_starts
+        assert len(starts) == r.metrics.packets_served
+
+
 class TestDegenerateThreshold:
     @pytest.mark.parametrize("traffic", [
         PoissonTraffic(0.3), ParetoTraffic(0.3, 1.5),
     ])
     def test_fixed_one_equals_standard(self, traffic):
-        a = Scenario(CFG, Policy.fixed(1), traffic, H)
-        b = Scenario(CFG, Policy.standard(), traffic, H)
-        assert run_detailed(a, 5) == run_detailed(b, 5)
+        a = run_detailed(Scenario(CFG, Policy.fixed(1), traffic, H), 5)
+        b = run_detailed(Scenario(CFG, Policy.standard(), traffic, H), 5)
+        assert _fields(a) == _fields(b)
 
 
 class TestDrxTiming:
@@ -154,7 +208,7 @@ class TestDrxTiming:
         # Threshold 2: first arrival at 15 sleeps through; second at 41.5
         # lands inside the window and releases instantly.
         r = simulate([15.0, 41.5], CFG, Policy.fixed(2), 200.0)
-        assert r.tx_starts == (41.5, 42.5)
+        assert r.tx_starts.tolist() == [41.5, 42.5]
 
     def test_two_phase_window_chain(self):
         # n_short = 3 then long cycles: windows at 40, 72, 104, 168 relative
@@ -203,6 +257,28 @@ class TestMetricsFields:
         govern = [q for _, q in r.metrics.per_cycle]
         assert govern[1:] == list(r.thresholds[: len(govern) - 1])
 
+    def test_float_means_add_in_order(self):
+        # Python's sum() is compensated from CPython 3.12 on.  Every mean
+        # here adds in order, as a loop would, so no result depends on the
+        # Python version.  On these inputs the two ways of adding differ.
+        def in_order(xs):
+            return functools.reduce(operator.add, xs, 0.0)
+
+        sched = ScheduleTraffic(((1.0, 0.1),) * 10)
+        assert sched.mean_rate == in_order([0.1] * 10) / 10.0
+        assert in_order([0.1] * 10) != math.fsum([0.1] * 10)
+
+        arrivals = [100.1 * j for j in range(1, 19)]
+        r = simulate(arrivals, CFG, Policy.fixed(2.2), 1900.0)
+        qs = r.thresholds
+        delays = (r.tx_starts - r.arrivals).tolist()
+        assert in_order(qs) != math.fsum(qs)
+        assert in_order(delays) != math.fsum(delays)
+        assert r.metrics.mean_q_w == in_order(qs) / len(qs)
+        delay, _, mean_q, served = slice_stats(r, CFG, 0.0, 1900.0)
+        assert (delay, mean_q, served) == (in_order(delays) / len(delays),
+                                           in_order(qs) / len(qs), len(delays))
+
     def test_saturation_flag(self):
         m = run(_scenario(Policy.standard(), rate=1.2, horizon=5000.0), 1)
         assert m.saturated
@@ -245,11 +321,21 @@ class TestMetricsFields:
         with pytest.raises(ValueError, match="index"):
             simulate(arrivals, CFG, Policy.standard(), 1000.0)
 
+    def test_stream_checked_once(self, monkeypatch):
+        # ArrivalStream checks a generated stream; simulate does not again.
+        calls = []
+        check = traffic.check_arrivals
+        monkeypatch.setattr(traffic, "check_arrivals",
+                            lambda a: calls.append(len(a)) or check(a))
+        m = run(_scenario(Policy.fixed(8)), 1)
+        assert calls == [m.arrivals]
+
     def test_array_and_list_input_agree(self):
         arrivals = [5.0, 6.0, 6.0, 300.0, 2000.0]
-        want = simulate(arrivals, CFG, Policy.fixed(2), 1000.0)
-        assert simulate(np.array(arrivals), CFG, Policy.fixed(2), 1000.0) == want
-        assert simulate(tuple(arrivals), CFG, Policy.fixed(2), 1000.0) == want
+        want = _fields(simulate(arrivals, CFG, Policy.fixed(2), 1000.0))
+        for given in (np.array(arrivals), tuple(arrivals)):
+            got = simulate(given, CFG, Policy.fixed(2), 1000.0)
+            assert _fields(got) == want
 
 
 class TestArrayPath:
