@@ -30,8 +30,10 @@ The [drx] and [run] sections may be omitted entirely (the defaults above
 apply).  Traffic kinds: ``poisson`` and ``pareto`` sweep over ``rates``
 (pareto also needs ``shape``), ``trace`` replays a recorded arrival file,
 ``schedule`` drives a piecewise-constant rate given as ``duration:rate``
-segments and reports one row per segment plus a whole-run row.  Unknown
-sections or keys are rejected, with the offending line named.
+segments and reports one row per segment plus a whole-run row, whose rate
+is the mean over the segments the run covered (a horizon shorter than the
+schedule cuts it).  ``seeds`` needs at least two distinct values >= 0.
+Unknown sections or keys are rejected, with the offending line named.
 """
 
 from __future__ import annotations
@@ -44,16 +46,18 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 from . import analytic
 from .drx import DrxConfig, Policy, PolicyKind
 from .engine import (
-    Metrics,
     ParetoTraffic,
     PoissonTraffic,
     Scenario,
     ScheduleTraffic,
     TraceTraffic,
+    TrafficKind,
+    _running_sum,
     replicate,
     run_detailed,
     slice_stats,
@@ -101,12 +105,10 @@ class ExperimentSpec:
     seeds: tuple[int, ...]
     confidence: float
     output: str | None
-    kind: str
     policies: tuple[Policy, ...]
-    rates: tuple[float, ...] | None = None
-    shape: float | None = None
-    trace: str | None = None
-    schedule: ScheduleTraffic | None = None
+    # One value per swept rate (poisson, pareto), else the one trace or
+    # schedule.
+    traffic: tuple[TrafficKind, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -208,8 +210,10 @@ def parse_spec(text: str) -> ExperimentSpec:
     value, line = _get(scanned, "run", "seeds")
     if value is not None:
         seeds = tuple(_as_int(v, line, "seeds") for v in value.split())
-        if not seeds:
-            raise SpecError("expected a nonempty list", line, "seeds")
+        if len(seeds) < 2:
+            raise SpecError("need at least 2 seeds", line, "seeds")
+        if min(seeds) < 0:
+            raise SpecError("seeds must be >= 0", line, "seeds")
         if len(set(seeds)) != len(seeds):
             raise SpecError("seeds must be distinct", line, "seeds")
     else:
@@ -227,7 +231,6 @@ def parse_spec(text: str) -> ExperimentSpec:
     if kind not in ("poisson", "pareto", "trace", "schedule"):
         raise SpecError(f"unknown traffic kind {value!r}", kind_line, "kind")
 
-    rates = shape = trace = schedule = None
     if kind in ("poisson", "pareto"):
         value, line = _get(scanned, "traffic", "rates")
         if value is None:
@@ -235,6 +238,8 @@ def parse_spec(text: str) -> ExperimentSpec:
         rates = _as_floats(value, line, "rates")
         if any(r <= 0 for r in rates):
             raise SpecError("rates must be > 0", line, "rates")
+    if kind == "poisson":
+        traffic = tuple(PoissonTraffic(r) for r in rates)
     if kind == "pareto":
         value, line = _get(scanned, "traffic", "shape")
         if value is None:
@@ -242,10 +247,12 @@ def parse_spec(text: str) -> ExperimentSpec:
         shape = _as_float(value, line, "shape")
         if shape <= 1.0:
             raise SpecError("shape must be > 1 (finite mean)", line, "shape")
+        traffic = tuple(ParetoTraffic(r, shape) for r in rates)
     if kind == "trace":
-        trace, line = _get(scanned, "traffic", "trace")
-        if trace is None:
+        path, line = _get(scanned, "traffic", "trace")
+        if path is None:
             raise SpecError("missing required key", line, "trace")
+        traffic = (TraceTraffic(path),)
     if kind == "schedule":
         value, line = _get(scanned, "traffic", "segments")
         if value is None:
@@ -260,7 +267,7 @@ def parse_spec(text: str) -> ExperimentSpec:
             segs.append((_as_float(dur, line, "segments"),
                          _as_float(rate, line, "segments")))
         try:
-            schedule = ScheduleTraffic(tuple(segs))
+            traffic = (ScheduleTraffic(tuple(segs)),)
         except ValueError as e:
             raise SpecError(str(e), line, "segments") from None
 
@@ -298,101 +305,71 @@ def parse_spec(text: str) -> ExperimentSpec:
 
     return ExperimentSpec(
         cfg=cfg, horizon=horizon, psf=psf, seeds=seeds, confidence=confidence,
-        output=output, kind=kind, policies=tuple(policies), rates=rates,
-        shape=shape, trace=trace, schedule=schedule,
+        output=output, policies=tuple(policies), traffic=traffic,
     )
 
 
-def _policy_label(p: Policy) -> str:
-    return {PolicyKind.STANDARD: "standard",
-            PolicyKind.FIXED_COALESCING: "fixed",
-            PolicyKind.ADAPTIVE_COALESCING: "adaptive"}[p.kind]
+def _point_rows(spec: ExperimentSpec, policy: Policy,
+                traffic: TrafficKind) -> list[ResultRow]:
+    """The rows of one grid point: one per schedule segment, then the run's.
 
-
-def _policy_columns(p: Policy) -> tuple[float | None, float | None]:
-    # (q_w column, w_star column)
-    if p.kind is PolicyKind.FIXED_COALESCING:
-        return p.q_w, None
-    if p.kind is PolicyKind.STANDARD:
-        return 1.0, None
-    return None, p.w_star
-
-
-def _row(spec: ExperimentSpec, scenario_id: str, policy: Policy,
-         rate: float | None, per_seed: list[tuple[float, float, float]],
-         saturated: bool) -> ResultRow:
-    delay, sleep, qw = summarize(per_seed, spec.confidence)
-    q_col, w_col = _policy_columns(policy)
-    return ResultRow(
-        scenario_id, _policy_label(policy), rate, q_col, w_col,
-        delay.mean, delay.ci_half_width, sleep.mean, sleep.ci_half_width,
-        qw.mean, qw.ci_half_width, saturated,
-    )
-
-
-def _overall(spec: ExperimentSpec, scenario_id: str, policy: Policy,
-             rate: float, metrics: list[Metrics]) -> ResultRow:
-    per_seed = [(m.mean_delay, m.sleep_fraction, m.mean_q_w) for m in metrics]
-    return _row(spec, scenario_id, policy, rate, per_seed,
-                any(m.saturated for m in metrics))
-
-
-def _sweep_rows(spec: ExperimentSpec, policy: Policy,
-                rate: float | None) -> list[ResultRow]:
-    if spec.kind == "poisson":
-        traffic = PoissonTraffic(rate)
-        scenario_id = "poisson"
-    elif spec.kind == "pareto":
-        traffic = ParetoTraffic(rate, spec.shape)
-        scenario_id = f"pareto({spec.shape!r})"
-    elif spec.kind == "trace":
-        traffic = TraceTraffic(spec.trace)
-        scenario_id = f"trace:{os.path.basename(spec.trace)}"
+    Only schedules keep each run's result, which their segment windows
+    read through ``slice_stats``; other traffic keeps the metrics alone.
+    """
+    horizon = spec.horizon
+    windows: list[tuple[float, float, float]] = []  # (start, end, rate)
+    if isinstance(traffic, ScheduleTraffic):
+        horizon = min(horizon, traffic.total_duration)
+        start = 0.0
+        for dur, rate in traffic.segments:
+            end = min(start + dur, horizon)
+            if end <= start:
+                break
+            windows.append((start, end, rate))
+            start = end
+    scenario = Scenario(spec.cfg, policy, traffic, horizon, spec.psf)
+    if windows:
+        results = [run_detailed(scenario, s) for s in spec.seeds]
+        metrics = [r.metrics for r in results]
     else:
-        return _schedule_rows(spec, policy)
-
-    scenario = Scenario(spec.cfg, policy, traffic, spec.horizon, spec.psf)
-    metrics = replicate(scenario, spec.seeds)
-    if rate is None:
-        rate = metrics[0].arrivals / spec.horizon  # empirical, trace replay
-    return [_overall(spec, scenario_id, policy, rate, metrics)]
-
-
-def _schedule_rows(spec: ExperimentSpec, policy: Policy) -> list[ResultRow]:
-    sched = spec.schedule
-    horizon = min(spec.horizon, sched.total_duration)
-    scenario = Scenario(spec.cfg, policy, sched, horizon, spec.psf)
-    results = [run_detailed(scenario, s) for s in spec.seeds]
-    metrics = [r.metrics for r in results]
+        metrics = replicate(scenario, spec.seeds)
     saturated = any(m.saturated for m in metrics)
+    # STANDARD releases at threshold 1, so that is its q_w column.
+    q_col = (None if policy.kind is PolicyKind.ADAPTIVE_COALESCING
+             else policy.q_w if policy.kind is PolicyKind.FIXED_COALESCING
+             else 1.0)
 
-    rows: list[ResultRow] = []
-    start = 0.0
-    for idx, (dur, rate) in enumerate(sched.segments):
-        end = min(start + dur, horizon)
-        if end <= start:
-            break
-        per_seed = [slice_stats(r, spec.cfg, start, end)[:3] for r in results]
-        rows.append(_row(
-            spec, f"schedule[{idx}]:{start / 1000.0:g}-{end / 1000.0:g}s",
-            policy, rate, per_seed, saturated,
-        ))
-        start = end
-    rows.append(_overall(spec, "schedule:overall", policy, sched.mean_rate,
-                         metrics))
+    def row(scenario_id: str, rate: float,
+            per_seed: list[tuple[float, float, float]]) -> ResultRow:
+        delay, sleep, qw = summarize(per_seed, spec.confidence)
+        return ResultRow(
+            scenario_id, policy.kind.value, rate, q_col, policy.w_star,
+            delay.mean, delay.ci_half_width, sleep.mean, sleep.ci_half_width,
+            qw.mean, qw.ci_half_width, saturated,
+        )
+
+    rows = [row(f"schedule[{i}]:{start / 1000.0:g}-{end / 1000.0:g}s", rate,
+                [slice_stats(r, spec.cfg, start, end)[:3] for r in results])
+            for i, (start, end, rate) in enumerate(windows)]
+    if isinstance(traffic, PoissonTraffic):
+        scenario_id, rate = "poisson", traffic.rate
+    elif isinstance(traffic, ParetoTraffic):
+        scenario_id, rate = f"pareto({traffic.shape!r})", traffic.rate
+    elif isinstance(traffic, TraceTraffic):
+        scenario_id = f"trace:{os.path.basename(traffic.path)}"
+        rate = metrics[0].arrivals / horizon  # empirical
+    else:  # the mean rate over the windows the run covered
+        scenario_id = "schedule:overall"
+        rate = _running_sum(0.0, [(e - s) * r for s, e, r in windows]) / horizon
+    rows.append(row(scenario_id, rate, [
+        (m.mean_delay, m.sleep_fraction, m.mean_q_w) for m in metrics]))
     return rows
 
 
-def _grid(spec: ExperimentSpec) -> list[tuple[Policy, float | None]]:
-    if spec.kind in ("poisson", "pareto"):
-        return [(p, r) for p in spec.policies for r in spec.rates]
-    return [(p, None) for p in spec.policies]
-
-
-def _grid_point(args: tuple[ExperimentSpec, Policy, float | None]
-                ) -> list[ResultRow]:
-    spec, policy, rate = args
-    return _sweep_rows(spec, policy, rate)
+def _check_traces(spec: ExperimentSpec) -> None:
+    for t in spec.traffic:
+        if isinstance(t, TraceTraffic) and not os.path.exists(t.path):
+            raise FileNotFoundError(f"trace file not found: {t.path}")
 
 
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[ResultRow]:
@@ -401,16 +378,15 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[ResultRow]:
     Schedules produce one row per segment plus a whole-run row per policy.
     A missing trace file fails here, before any run starts.
     """
-    if spec.kind == "trace" and not os.path.exists(spec.trace):
-        raise FileNotFoundError(f"trace file not found: {spec.trace}")
-    grid = _grid(spec)
-    if jobs <= 1 or len(grid) <= 1:
-        results = [_grid_point((spec, p, r)) for p, r in grid]
+    _check_traces(spec)
+    policies, traffics = zip(*[(p, t) for p in spec.policies
+                               for t in spec.traffic])
+    if jobs <= 1 or len(policies) <= 1:
+        results = map(_point_rows, repeat(spec), policies, traffics)
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(
-                _grid_point, [(spec, p, r) for p, r in grid]
-            ))
+            results = list(pool.map(_point_rows, repeat(spec), policies,
+                                    traffics))
     return [row for rows in results for row in rows]
 
 
@@ -435,13 +411,7 @@ def emit_csv(rows: list[ResultRow], destination) -> None:
     writer = csv.writer(destination, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for row in rows:
-        writer.writerow([
-            _cell(row.scenario), _cell(row.policy), _cell(row.rate),
-            _cell(row.q_w), _cell(row.w_star),
-            _cell(row.mean_delay_ms), _cell(row.ci_delay_ms),
-            _cell(row.sleep_frac), _cell(row.ci_sleep),
-            _cell(row.mean_qw), _cell(row.ci_qw), _cell(row.saturated),
-        ])
+        writer.writerow([_cell(getattr(row, c)) for c in CSV_COLUMNS])
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -474,10 +444,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     with open(args.spec, "r", encoding="utf-8") as fh:
         spec = parse_spec(fh.read())
-    if spec.kind == "trace" and not os.path.exists(spec.trace):
-        raise FileNotFoundError(f"trace file not found: {spec.trace}")
-    grid = _grid(spec)
-    print(f"OK: {len(grid)} grid points x {len(spec.seeds)} seeds")
+    _check_traces(spec)
+    points = len(spec.policies) * len(spec.traffic)
+    print(f"OK: {points} grid points x {len(spec.seeds)} seeds")
     return 0
 
 

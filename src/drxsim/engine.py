@@ -106,11 +106,6 @@ class ScheduleTraffic:
     def total_duration(self) -> float:
         return _running_sum(0.0, [d for d, _ in self.segments])
 
-    @property
-    def mean_rate(self) -> float:
-        return (_running_sum(0.0, [d * r for d, r in self.segments])
-                / self.total_duration)
-
 
 TrafficKind = PoissonTraffic | ParetoTraffic | TraceTraffic | ScheduleTraffic
 

@@ -239,8 +239,3 @@ def load_trace(source: str | bytes | IO) -> ArrivalStream:
         prev = ts
     horizon = arrivals[-1] if arrivals else 0.0
     return ArrivalStream(arrivals, horizon)
-
-
-def serialize_trace(stream: ArrivalStream) -> str:
-    """Inverse of ``load_trace`` for valid streams (timestamps only)."""
-    return "".join(f"{t!r}\n" for t in stream.arrivals.tolist())

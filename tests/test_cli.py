@@ -88,10 +88,12 @@ class TestParsing:
         assert "t_on" in str(err.value)
 
     def test_duplicate_seeds_rejected(self):
-        bad = MINIMAL + "\n[run]\nseeds = 1 2 2\n"
-        with pytest.raises(SpecError) as err:
-            parse_spec(bad)
-        assert err.value.key == "seeds"
+        for seeds in ("1 2 2", "1", "-1 2"):
+            bad = MINIMAL + f"\n[run]\nseeds = {seeds}\n"
+            with pytest.raises(SpecError) as err:
+                parse_spec(bad)
+            assert err.value.key == "seeds"
+            assert err.value.line == 10
 
     def test_missing_kind(self):
         with pytest.raises(SpecError):
@@ -110,9 +112,9 @@ class TestParsing:
         text = ("[traffic]\nkind = schedule\nsegments = 1000:0.1 2000:0.4\n"
                 "\n[policies]\nadaptive = 64:128\n")
         spec = parse_spec(text)
-        assert spec.schedule.segments == ((1000.0, 0.1), (2000.0, 0.4))
-        assert spec.schedule.total_duration == 3000.0
-        assert spec.schedule.mean_rate == pytest.approx(0.3)
+        (schedule,) = spec.traffic
+        assert schedule.segments == ((1000.0, 0.1), (2000.0, 0.4))
+        assert schedule.total_duration == 3000.0
 
     def test_malformed_segment(self):
         text = ("[traffic]\nkind = schedule\nsegments = 1000-0.1\n"
@@ -173,6 +175,18 @@ class TestRunExperiment:
         assert rows[2].scenario == "schedule:overall"
         assert rows[2].rate == pytest.approx(0.35)
 
+    def test_overall_rate_covers_the_run_horizon(self):
+        # The run stops 10 s into the second segment, so the whole-run row
+        # averages 20 s at 0.1 and 10 s at 0.2, not the full schedule.
+        text = ("[run]\nhorizon = 30000\nseeds = 1 2\n\n[traffic]\n"
+                "kind = schedule\nsegments = 20000:0.1 20000:0.2 20000:0.4 "
+                "20000:0.2 20000:0.1\n\n[policies]\nadaptive = 64:128\n")
+        rows = run_experiment(parse_spec(text))
+        assert [r.scenario for r in rows] == [
+            "schedule[0]:0-20s", "schedule[1]:20-30s", "schedule:overall"]
+        assert [r.rate for r in rows[:2]] == [0.1, 0.2]
+        assert rows[2].rate == (20000 * 0.1 + 10000 * 0.2) / 30000
+
     def test_missing_trace_fails_before_running(self):
         text = ("[traffic]\nkind = trace\ntrace = /nonexistent/x.trace\n\n"
                 "[policies]\nstandard = on\n")
@@ -180,8 +194,12 @@ class TestRunExperiment:
             run_experiment(parse_spec(text))
 
     def test_parallel_jobs_match_serial(self):
-        spec = parse_spec(FULL)
-        assert run_experiment(spec, jobs=2) == run_experiment(spec, jobs=1)
+        schedule = ("[run]\nhorizon = 3000\nseeds = 1 2\n\n[traffic]\n"
+                    "kind = schedule\nsegments = 1500:0.2 1500:0.5\n\n"
+                    "[policies]\nadaptive = 64:128\nstandard = on\n")
+        for text in (FULL, schedule):
+            spec = parse_spec(text)
+            assert run_experiment(spec, jobs=2) == run_experiment(spec, jobs=1)
 
 
 class TestCsv:
@@ -232,6 +250,13 @@ class TestMain:
         path = self._write(tmp_path, "[traffic]\nkind = warp\n")
         assert main(["validate", path]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_validate_missing_trace(self, tmp_path, capsys):
+        path = self._write(tmp_path, "[traffic]\nkind = trace\n"
+                           "trace = /nonexistent/x.trace\n\n"
+                           "[policies]\nstandard = on\n")
+        assert main(["validate", path]) == 2
+        assert "trace file not found" in capsys.readouterr().err
 
     def test_run_writes_csv(self, tmp_path):
         out = str(tmp_path / "r.csv")
@@ -309,11 +334,26 @@ class TestBundledExperiments:
         path = os.path.join(root, name)
         with open(path) as fh:
             spec = parse_spec(fh.read())
-        if spec.kind in ("poisson", "pareto"):
-            grid = len(spec.policies) * len(spec.rates)
-        else:
-            grid = len(spec.policies)
-        assert grid == points
+        assert len(spec.policies) * len(spec.traffic) == points
+
+    @pytest.mark.parametrize("name", ["fig4", "fig5", "fig6", "fig7", "fig8"])
+    def test_golden_spec_matches_experiment(self, name):
+        # A golden spec shortens its experiment: only the horizon, the
+        # seeds, the output file and the segment durations may differ.
+        root = os.path.join(os.path.dirname(__file__), "..")
+
+        def read(*parts):
+            with open(os.path.join(root, *parts)) as fh:
+                spec = parse_spec(fh.read())
+            traffic = tuple(
+                (type(t), tuple(r for _, r in t.segments))
+                if isinstance(t, ScheduleTraffic) else t
+                for t in spec.traffic)
+            return (spec.cfg, spec.psf, spec.confidence, spec.policies,
+                    traffic)
+
+        assert (read("tests", "golden", f"{name}.spec")
+                == read("experiments", f"{name}.spec"))
 
 
 def test_import_loads_no_scipy():

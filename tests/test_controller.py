@@ -7,7 +7,6 @@ import pytest
 
 from drxsim.analytic import (
     dmean_wait_dq,
-    equilibrium_threshold,
     gamma_poisson,
     mean_wait_poisson_raw,
 )
@@ -17,6 +16,7 @@ from drxsim.controller import (
     q_max_from_bound,
     update_threshold,
 )
+from model_reference import equilibrium_threshold
 
 TW = 14.0625
 

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from drxsim import engine, traffic
+from drxsim.cli import parse_spec, run_experiment
 from drxsim.drx import DrxConfig, Policy
 from drxsim.engine import (
     Metrics,
@@ -264,8 +265,12 @@ class TestMetricsFields:
         def in_order(xs):
             return functools.reduce(operator.add, xs, 0.0)
 
-        sched = ScheduleTraffic(((1.0, 0.1),) * 10)
-        assert sched.mean_rate == in_order([0.1] * 10) / 10.0
+        overall = run_experiment(parse_spec(
+            "[run]\nseeds = 1 2\n\n[traffic]\nkind = schedule\n"
+            "segments = " + " ".join(["1:0.1"] * 10) +
+            "\n\n[policies]\nstandard = on\n"))[-1]
+        assert overall.scenario == "schedule:overall"
+        assert overall.rate == in_order([0.1] * 10) / 10.0
         assert in_order([0.1] * 10) != math.fsum([0.1] * 10)
 
         arrivals = [100.1 * j for j in range(1, 19)]

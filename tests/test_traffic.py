@@ -20,8 +20,12 @@ from drxsim.traffic import (
     gen_poisson,
     gen_schedule,
     load_trace,
-    serialize_trace,
 )
+
+
+def serialize_trace(stream: ArrivalStream) -> str:
+    """Inverse of ``load_trace`` for valid streams (timestamps only)."""
+    return "".join(f"{t!r}\n" for t in stream.arrivals.tolist())
 
 
 def _gaps(stream: ArrivalStream) -> np.ndarray:
