@@ -79,6 +79,9 @@ _SECTIONS = {
     "traffic": {"kind", "rates", "shape", "trace", "segments"},
     "policies": {"standard", "fixed", "adaptive"},
 }
+# The [traffic] keys each kind reads besides ``kind``; any other is an error.
+_TRAFFIC_KEYS = {"poisson": {"rates"}, "pareto": {"rates", "shape"},
+                 "trace": {"trace"}, "schedule": {"segments"}}
 
 
 class SpecError(ValueError):
@@ -228,8 +231,11 @@ def parse_spec(text: str) -> ExperimentSpec:
     if value is None:
         raise SpecError("missing required key", kind_line, "kind")
     kind = value.lower()
-    if kind not in ("poisson", "pareto", "trace", "schedule"):
+    if kind not in _TRAFFIC_KEYS:
         raise SpecError(f"unknown traffic kind {value!r}", kind_line, "kind")
+    for key, (_, line) in scanned["traffic"].items():
+        if key != "kind" and key not in _TRAFFIC_KEYS[kind]:
+            raise SpecError(f"not used by traffic kind {kind!r}", line, key)
 
     if kind in ("poisson", "pareto"):
         value, line = _get(scanned, "traffic", "rates")

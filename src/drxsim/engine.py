@@ -9,19 +9,18 @@ geometry.  The test suite checks the result against a slow reference that
 steps an explicit UE state machine one event at a time.
 
 An active stretch is served by a scalar loop for its first
-``_SCALAR_HEAD`` packets and, if still open, on arrays by ``_drain``.
-For FIFO service of one ``psf`` per packet, the start of packet m is
-``s_m = max(A_m, s_{m-1} + psf)`` (Lindley 1952); unrolled, it is
-``m*psf + max(free, cummax(A_j - j*psf))``, one numpy pass per chunk.  In
-floating point the unrolled form can round differently, so ``_drain``
-recomputes every start from its predecessor with the scalar loop's own
-expressions, finds the stretch end with the loop's own comparisons, and
-keeps the chunk only if the unrolled starts it relied on equal those
-recomputed ones; otherwise it declines and the scalar loop serves the
-stretch.  Delay sums are added in packet order (``np.add.accumulate``).
-Results are therefore bit-identical to the scalar loop's for any ``psf``;
-at ``psf = 1`` the unrolled form is almost always exact, so long
-stretches cost a few numpy passes, not one Python step per packet.
+``_SCALAR_HEAD`` packets and, if still open, from the run's no-DRX
+schedule ``G[k] = max(A_k, G[k-1] + psf)`` (Lindley 1952), built once per
+run when first needed.  Rounded ``+`` and ``max`` are monotone, so no
+packet starts before its ``G`` start; once one starts at it, the stretch
+repeats ``G``'s own operations up to ``G``'s next break (the next arrival
+misses the countdown), one lookup.  A backlog before that is served at
+``free, free + psf, ...``, one in-order ``np.add.accumulate`` per chunk.
+``G`` comes from the unrolled form ``k*psf + max(free, cummax(A_j -
+j*psf))``, one numpy pass per chunk checked against the recursion, which
+finishes a chunk where they differ (rarely at ``psf = 1``).  Delay sums
+add in packet order, so results are bit-identical to a per-packet loop's
+for any ``psf``.  Short stretches stay per packet.
 
 Every run returns one ``RunResult``: the metrics, each served packet's
 arrival and transmission start, and each DRX stretch as its enable instant
@@ -30,7 +29,7 @@ or the horizon).  ``slice_stats`` reads the statistics of any time window
 off that shape.  Per-packet output is built only where it is read: the
 arrivals are a view of the checked input array, and the transmission
 starts stay in the segments the loop produced (lists from the scalar
-loop, arrays from ``_drain``) until ``tx_starts`` is first read.  The
+loop, arrays from the schedule) until ``tx_starts`` is first read.  The
 sleep total is summed once after the loop, from an elementwise form of
 the cycle geometry (``_CycleGeometry.sleep_in``) added in stretch order;
 each term, and so the total, is bit-identical to a per-stretch scalar
@@ -277,50 +276,73 @@ def _lambda_hat_series(arrivals: Sequence[float], k_ema: float) -> list[float]:
 
 
 # Each active stretch serves its first _SCALAR_HEAD packets in the scalar
-# loop; a stretch still open after that is handed to _drain, whose chunks
-# start at _FIRST_CHUNK packets and double.  Short stretches never pay for
-# the array set-up.
-_SCALAR_HEAD = 256
-_FIRST_CHUNK = 64
+# loop; a stretch still open after that is served from the no-DRX schedule.
+# Array chunks (schedule build, backlog walk) start at this size and double.
+# Short stretches never pay for the array set-up.
+_SCALAR_HEAD = 128
 
 
-def _drain(A: np.ndarray, i: int, free: float, psf: float, t_in: float,
-           horizon: float) -> tuple[np.ndarray, bool] | None:
-    """Serve an open active stretch from packet ``i`` on, in chunks.
+def _no_drx_schedule(A: np.ndarray, psf: float, t_in: float
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """The run's starts with DRX off, ``G``, and their break indices.
 
-    The server is free from ``free``.  Returns the starts of the packets
-    served until the stretch ends and whether it ended at the horizon, or
-    None when an unrolled start the result relies on differs from the
-    recursion (see the module docstring).
+    ``G[k] = max(A[k], G[k-1] + psf)`` from free time 0, by the scalar
+    loop's expressions.  A break is an m after which the next arrival
+    misses the countdown, ``A[m+1] > (G[m] + psf) + t_in``, or the last m.
     """
     n = len(A)
-    parts: list[np.ndarray] = []
-    size = _FIRST_CHUNK
-    while i < n:
-        q = min(i + size, n)
-        a = A[i:q]
-        r = np.arange(q - i) * psf
+    G = np.empty(n)
+    free = 0.0
+    lo = 0
+    size = _SCALAR_HEAD
+    while lo < n:
+        hi = min(lo + size, n)
+        a = A[lo:hi]
+        r = np.arange(hi - lo) * psf
         cand = r + np.maximum(free, np.maximum.accumulate(a - r))
         prev = np.concatenate(([free], cand[:-1] + psf))
         s = np.where(a > prev, a, prev)  # the loop's max(A_m, free)
-        # Ends: the first start at or after the horizon (not served), or
-        # the first packet after which the next arrival misses the
-        # countdown (served; the next arrival may lie in the next chunk).
-        ends = s >= horizon
-        nxt = A[i + 1:q + 1]
-        ends[:len(nxt)] |= nxt > (s[:len(nxt)] + psf) + t_in
-        e = int(ends.argmax()) if ends.any() else q - i
-        if not np.array_equal(s[:e], cand[:e]):
-            return None
-        if e < q - i:
-            done = bool(s[e] >= horizon)  # else packet e is served, last
-            parts.append(s[:e] if done else s[:e + 1])
-            return np.concatenate(parts), done
-        parts.append(s)
-        free = float(s[-1]) + psf
-        i = q
+        if not np.array_equal(s, cand):  # s is exact up to the first miss
+            s = s[:int((s != cand).argmax()) + 1].tolist()
+            for x in a[len(s):].tolist():
+                f = s[-1] + psf
+                s.append(x if x > f else f)
+        G[lo:hi] = s
+        free = G[hi - 1] + psf
+        lo = hi
         size *= 2
-    return np.concatenate(parts), False
+    ends = np.flatnonzero(A[1:] > (G[:-1] + psf) + t_in)
+    return G, np.append(ends, n - 1)
+
+
+def _serve_from_schedule(A: np.ndarray, G: np.ndarray, breaks: np.ndarray,
+                         i: int, free: float, psf: float, t_in: float,
+                         horizon: float) -> tuple[np.ndarray, float, bool]:
+    """Serve an open active stretch from packet ``i``, the server free from
+    ``free``: (starts until the stretch ends, next free time, horizon hit).
+
+    A backlog is served at ``free, free + psf, ...`` until packet k finds
+    ``free <= G[k]``; from there the stretch follows ``G`` to its break.
+    """
+    n = len(A)
+    parts: list[np.ndarray] = []
+    size = _SCALAR_HEAD
+    while i < n and free > G[i]:
+        q = min(i + size, n)
+        F = np.add.accumulate(np.concatenate(([free], np.full(q - i, psf))))
+        hit = F[:-1] <= G[i:q]
+        e = int(hit.argmax()) if hit.any() else q - i
+        parts.append(F[:e])
+        free = float(F[e])
+        i += e
+        size *= 2
+    if i < n and A[i] <= free + t_in:  # packet i starts at G[i]
+        m = int(breaks[np.searchsorted(breaks, i)])
+        parts.append(G[i:m + 1])
+        free = float(G[m]) + psf
+    starts = np.concatenate(parts)
+    h = int(np.searchsorted(starts, horizon))
+    return starts[:h], free, h < len(starts)
 
 
 def _running_sum(start: float, d: Sequence[float] | np.ndarray) -> float:
@@ -363,8 +385,8 @@ def simulate(arrivals: Sequence[float] | np.ndarray | tr.ArrivalStream,
     else:
         q_w = policy.q_w if policy.kind is PolicyKind.FIXED_COALESCING else 1.0
 
-    # The scalar loop appends starts to ``tx``; an array from ``_drain``
-    # closes it.  RunResult joins the parts if ``tx_starts`` is read.
+    # The scalar loop appends starts to ``tx``; an array from the no-DRX
+    # schedule closes it.  RunResult joins the parts if ``tx_starts`` is read.
     tx: list[float] = []
     tx_parts: list[list[float] | np.ndarray] = []
     boundaries: list[float] = []
@@ -378,6 +400,7 @@ def simulate(arrivals: Sequence[float] | np.ndarray | tr.ArrivalStream,
     free = 0.0
     i = 0
     done = False
+    G = breaks = None  # the no-DRX schedule, built when first needed
 
     while not done:
         expiry = free + t_in
@@ -407,43 +430,38 @@ def simulate(arrivals: Sequence[float] | np.ndarray | tr.ArrivalStream,
             free = end
         # Active: drain the backlog, then serve any arrival that lands
         # before the countdown runs out. Each service re-arms the countdown.
-        # The scalar loop serves up to _SCALAR_HEAD packets; a stretch still
-        # open then goes to _drain, or back to this loop if _drain declines.
+        # The scalar loop serves up to _SCALAR_HEAD packets; the no-DRX
+        # schedule serves the rest of a stretch still open then.
         stop = min(i + _SCALAR_HEAD, n)
-        while True:
-            while i < stop:
-                a = A[i]
-                s = a if a > free else free
-                if s >= horizon:
-                    done = True
-                    break
-                tx.append(s)
-                d = s - a
-                delay_sum += d
-                c_dsum += d
-                c_cnt += 1
-                free = s + psf
-                i += 1
-                if i < n and A[i] > free + t_in:
-                    break
-            else:
-                if stop < n:
-                    drained = _drain(A_arr, i, free, psf, t_in, horizon)
-                    if drained is None:
-                        stop = n
-                        continue
-                    starts, done = drained
-                    if len(starts):
-                        m = i + len(starts)
-                        d = starts - A_arr[i:m]
-                        delay_sum = _running_sum(delay_sum, d)
-                        c_dsum = _running_sum(c_dsum, d)
-                        c_cnt += len(starts)
-                        tx_parts += (tx, starts)
-                        tx = []
-                        free = float(starts[-1]) + psf
-                        i = m
-            break
+        while i < stop:
+            a = A[i]
+            s = a if a > free else free
+            if s >= horizon:
+                done = True
+                break
+            tx.append(s)
+            d = s - a
+            delay_sum += d
+            c_dsum += d
+            c_cnt += 1
+            free = s + psf
+            i += 1
+            if i < n and A[i] > free + t_in:
+                break
+        else:
+            if stop < n:
+                if G is None:
+                    G, breaks = _no_drx_schedule(A_arr, psf, t_in)
+                starts, free, done = _serve_from_schedule(
+                    A_arr, G, breaks, i, free, psf, t_in, horizon)
+                m = i + len(starts)
+                d = starts - A_arr[i:m]
+                delay_sum = _running_sum(delay_sum, d)
+                c_dsum = _running_sum(c_dsum, d)
+                c_cnt += len(starts)
+                tx_parts += (tx, starts)
+                tx = []
+                i = m
     tx_parts.append(tx)
 
     # Every packet before i was served, and none after.

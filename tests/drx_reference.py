@@ -8,6 +8,9 @@ the queue drains, and ``reference_run`` drives both through a queue one
 event at a time.  ``tests/test_differential.py`` compares the two.
 ``sleep_between`` is the scalar walk of one stretch's cycle layout that the
 engine's elementwise ``_CycleGeometry.sleep_in`` must reproduce bit for bit.
+``lindley_run`` serves every packet with the plain Lindley recursion, one
+Python step each; the engine, which serves long active stretches from the
+run's no-DRX schedule, must reproduce it bit for bit.
 
 Timeline convention: a DRX cycle of length L consists of a low-power period
 of ``L - t_on`` followed by an on-duration of ``t_on`` that closes the cycle.
@@ -23,6 +26,10 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
 
+import numpy as np
+
+from drxsim import controller as ctrl
+from drxsim import engine
 from drxsim.drx import DrxConfig, Policy, PolicyKind
 
 
@@ -258,3 +265,85 @@ def sleep_between(cfg: DrxConfig, t0: float, t_end: float) -> float:
     rem = span - full * cfg.t_long
     sleep += min(rem, cfg.t_long - cfg.t_on)
     return sleep
+
+
+def lindley_run(arrivals: Sequence[float], cfg: DrxConfig, policy: Policy,
+                horizon: float, psf: float = 1.0) -> engine.RunResult:
+    """The engine's run, serving every packet one step at a time.
+
+    Active stretches follow ``s = max(A_i, free)``, ``free = s + psf``
+    until the next arrival misses the countdown; DRX stretches release as
+    the engine's conventions say.  Every float sum is added in order.
+    """
+    A = [float(a) for a in arrivals if a < horizon]
+    n = len(A)
+    geo = engine._CycleGeometry(cfg)
+    adaptive = policy.kind is PolicyKind.ADAPTIVE_COALESCING
+    if adaptive:
+        state = ctrl.initial_state(
+            policy.w_star, ctrl.q_max_from_bound(policy.w_max, psf))
+        lam_hat = engine._lambda_hat_series(A, 2.0 * policy.w_max)
+        q_w = state.q_w
+    else:
+        q_w = policy.q_w if policy.kind is PolicyKind.FIXED_COALESCING else 1.0
+    tx: list[float] = []
+    boundaries: list[float] = []
+    thresholds: list[float] = []
+    ends: list[float] = []
+    per_cycle: list[tuple[float | None, float]] = []
+    delay_sum = c_dsum = 0.0
+    c_cnt = 0
+    free = 0.0
+    i = 0
+    done = False
+    while not done:
+        expiry = free + cfg.t_in
+        if not (i < n and A[i] <= expiry):
+            if expiry >= horizon:
+                break
+            w_hat = c_dsum / c_cnt if c_cnt else None
+            per_cycle.append((w_hat, q_w))
+            if adaptive and w_hat is not None and i > 0 and lam_hat[i - 1] > 0.0:
+                state = ctrl.update_threshold(state, lam_hat[i - 1], w_hat)
+                q_w = state.q_w
+            boundaries.append(expiry)
+            thresholds.append(q_w)
+            c_dsum = 0.0
+            c_cnt = 0
+            j = i + math.ceil(q_w) - 1
+            end = horizon if j >= n else min(geo.release_at(expiry, A[j]), horizon)
+            ends.append(end)
+            if end >= horizon:
+                break
+            free = end
+        while i < n:
+            s = A[i] if A[i] > free else free
+            if s >= horizon:
+                done = True
+                break
+            tx.append(s)
+            d = s - A[i]
+            delay_sum += d
+            c_dsum += d
+            c_cnt += 1
+            free = s + psf
+            i += 1
+            if i < n and A[i] > free + cfg.t_in:
+                break
+    sleep = 0.0
+    for t0, end in zip(boundaries, ends):
+        sleep += sleep_between(cfg, t0, end)
+    q_sum = 0.0
+    for q in thresholds:
+        q_sum += q
+    metrics = engine.Metrics(
+        mean_delay=delay_sum / i if i else math.nan,
+        sleep_fraction=sleep / horizon,
+        mean_q_w=q_sum / len(thresholds) if thresholds else q_w,
+        packets_served=i,
+        arrivals=n,
+        saturated=(n * psf / horizon) >= 1.0,
+        per_cycle=tuple(per_cycle),
+    )
+    return engine.RunResult(metrics, tuple(boundaries), tuple(thresholds),
+                            np.array(A[:i]), tuple(ends), (tx,))

@@ -95,6 +95,20 @@ class TestParsing:
             assert err.value.key == "seeds"
             assert err.value.line == 10
 
+    @pytest.mark.parametrize("kind, needed, extra", [
+        ("poisson", "rates = 0.1", "shape = 0.5"),
+        ("poisson", "rates = 0.1", "segments = 1:x"),
+        ("trace", "trace = t.trace", "rates = 0.1"),
+    ])
+    def test_key_unused_by_kind_rejected(self, kind, needed, extra):
+        # Before, such a key parsed and silently did nothing.
+        text = (f"[traffic]\nkind = {kind}\n{needed}\n{extra}\n"
+                "\n[policies]\nstandard = on\n")
+        with pytest.raises(SpecError) as err:
+            parse_spec(text)
+        assert err.value.key == extra.split()[0]
+        assert err.value.line == 4
+
     def test_missing_kind(self):
         with pytest.raises(SpecError):
             parse_spec("[traffic]\nrates = 0.1\n\n[policies]\nstandard = on\n")

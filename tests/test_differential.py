@@ -15,9 +15,12 @@ Explicit examples pin the ties that random draws rarely produce.  The
 adaptive policy has no reference here; ``test_engine_invariants`` checks
 the simulator's invariants on the same draws under all three policies.
 ``test_array_path_matches_scalar`` checks that serving long active
-stretches on arrays (``engine._drain``) changes no bit of any result, and
-``test_sleep_in_matches_scalar_walk`` that the elementwise sleep layout
-matches the scalar walk bit for bit.
+stretches from the run's no-DRX schedule changes no bit of any result
+against the per-packet ``drx_reference.lindley_run``; the schedule tests
+check that schedule against its recursion and its premise, that no packet
+starts before its no-DRX start.  ``test_sleep_in_matches_scalar_walk``
+checks that the elementwise sleep layout matches the scalar walk bit for
+bit.
 """
 
 from __future__ import annotations
@@ -32,10 +35,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from drx_reference import reference_run, sleep_between
+from drx_reference import lindley_run, reference_run, sleep_between
 from drxsim import engine
 from drxsim.drx import DrxConfig, Policy
-from drxsim.engine import simulate
+from drxsim.engine import PoissonTraffic, make_arrivals, simulate
 
 TOL = 1e-9
 HORIZON = 1000.0
@@ -151,10 +154,7 @@ def _bits(value):
     return value
 
 
-def _run_with(arrivals, cfg, policy, psf, head, chunk):
-    with mock.patch.object(engine, "_SCALAR_HEAD", head), \
-            mock.patch.object(engine, "_FIRST_CHUNK", chunk):
-        r = simulate(arrivals, cfg, policy, HORIZON, psf)
+def _bits_of(r):
     return _bits((dataclasses.astuple(r.metrics), r.boundaries, r.thresholds,
                   r.arrivals.tolist(), r.tx_starts.tolist(), r.stretch_ends))
 
@@ -163,37 +163,92 @@ def _run_with(arrivals, cfg, policy, psf, head, chunk):
           suppress_health_check=[HealthCheck.too_slow])
 @given(arrivals=arrival_lists, cfg=configs(),
        policy=st.one_of(policies, adaptive_policies),
-       psf=st.sampled_from([0.5, 0.7, 1.0, 2.0]),
-       head=st.integers(1, 4), chunk=st.integers(1, 4))
-# A gap right after the last packet of a chunk ends the stretch there; its
-# next arrival lies in the following chunk.
+       psf=st.sampled_from([0.5, 0.7, 1.0, 2.0]), head=st.integers(1, 4))
+# A stretch that couples at once ends at a break of the schedule; the
+# next arrival opens a stretch of its own.
 @example(arrivals=[1.0, 2.0, 3.0, 50.0, 51.0], cfg=DrxConfig(10, 2, 32, 32),
-         policy=Policy.standard(), psf=1.0, head=1, chunk=2)
-# The horizon falls in the middle of a chunk: packets 3 to 6 form the
-# second chunk, and packet 5 would start at 1000.  (t_in = 1000 keeps the
-# UE awake here and in the last-arrival example.)
+         policy=Policy.standard(), psf=1.0, head=1)
+# The horizon falls inside a coupled stretch: packet 5 would start at 1000.
+# (t_in = 1000 keeps the UE awake here and in the last-arrival example.)
 @example(arrivals=[990.0, 990.5, 991.0, 991.5, 992.0, 992.5, 993.0],
          cfg=DrxConfig(1000, 2, 32, 32), policy=Policy.standard(), psf=2.0,
-         head=1, chunk=2)
-# A gap and the horizon in the same chunk: the gap after 4.0 comes first,
-# then a burst whose continued candidate starts run past the horizon.
+         head=1)
+# A gap ends the first stretch after one lookup; the burst behind it is
+# held in DRX until past the horizon.
 @example(arrivals=[1.0, 2.0, 3.0, 4.0, 995.0, 995.5, 996.0, 996.5, 997.0],
          cfg=DrxConfig(10, 2, 32, 32), policy=Policy.standard(), psf=2.0,
-         head=1, chunk=8)
-# The last arrival starts exactly at the horizon, with no next arrival.
+         head=1)
+# The last arrival would start exactly at the horizon, with no next arrival.
 @example(arrivals=[994.0, 995.0, 996.0, 997.0],
          cfg=DrxConfig(1000, 2, 32, 32), policy=Policy.standard(), psf=2.0,
-         head=1, chunk=2)
-# psf = 0.7 is inexact in binary, so the closed form drifts off the
+         head=1)
+# psf = 0.7 is inexact in binary, so the unrolled schedule drifts off the
 # recursion: its start for packet 7 is 4.8999999999999995, not 4.9, and
-# _drain must decline.  The stretch ends after packet 8, whose start
-# 4.9 + 0.7 = 5.6000000000000005 is computed from packet 7's.
+# the recursion finishes the chunk.  The stretch ends after packet 8, whose
+# start 4.9 + 0.7 = 5.6000000000000005 is computed from packet 7's.
 @example(arrivals=[0.5 * k for k in range(9)] + [100.0],
          cfg=DrxConfig(10, 2, 32, 32), policy=Policy.standard(), psf=0.7,
-         head=1, chunk=8)
-def test_array_path_matches_scalar(arrivals, cfg, policy, psf, head, chunk):
-    scalar = _run_with(arrivals, cfg, policy, psf, len(arrivals) + 1, chunk)
-    assert _run_with(arrivals, cfg, policy, psf, head, chunk) == scalar
+         head=1)
+# A release at 40 leaves a backlog the schedule cleared long before; the
+# backlog walk reaches packet 6, which arrives after the countdown (60) or
+# inside it (50), so the stretch breaks or couples there.
+@example(arrivals=[20.0, 20.5, 21.0, 21.5, 22.0, 22.5, 60.0, 100.0],
+         cfg=DrxConfig(10, 2, 32, 32), policy=Policy.fixed(4), psf=1.0,
+         head=1)
+@example(arrivals=[20.0, 20.5, 21.0, 21.5, 22.0, 22.5, 50.0, 100.0],
+         cfg=DrxConfig(10, 2, 32, 32), policy=Policy.fixed(4), psf=1.0,
+         head=1)
+def test_array_path_matches_scalar(arrivals, cfg, policy, psf, head):
+    want = _bits_of(lindley_run(arrivals, cfg, policy, HORIZON, psf))
+    with mock.patch.object(engine, "_SCALAR_HEAD", head):
+        got = simulate(arrivals, cfg, policy, HORIZON, psf)
+    assert _bits_of(got) == want
+
+
+def _recursion(A, psf):
+    out, free = [], 0.0
+    for a in A:
+        out.append(a if a > free else free)
+        free = out[-1] + psf
+    return out
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(arrivals=st.lists(times, min_size=1, max_size=300).map(sorted),
+       psf=st.sampled_from([0.5, 0.7, 1.0, 2.0]),
+       t_in=st.sampled_from([0.0, 0.5, 10.0]))
+# An arrival exactly at the end of the countdown is no break.
+@example(arrivals=[0.0, 11.0], psf=1.0, t_in=10.0)
+def test_no_drx_schedule_is_the_recursion(arrivals, psf, t_in):
+    A = np.array(arrivals, dtype=np.float64)
+    G, breaks = engine._no_drx_schedule(A, psf, t_in)
+    want = _recursion(arrivals, psf)
+    assert _bits(G.tolist()) == _bits(want)
+    assert breaks.tolist() == [m for m in range(len(A)) if m == len(A) - 1
+                               or A[m + 1] > (want[m] + psf) + t_in]
+
+
+@pytest.mark.parametrize("psf", [0.5, 0.7, 1.0, 2.0])
+def test_no_drx_schedule_long_stream(psf):
+    # Over 10k arrivals: many doubling chunks, with and without misses of
+    # the unrolled form (psf 0.7 misses every few packets).
+    A = make_arrivals(PoissonTraffic(0.9 / psf), 13000.0 * psf, 3).arrivals
+    assert len(A) > 10_000
+    G, _ = engine._no_drx_schedule(A, psf, 10.0)
+    assert _bits(G.tolist()) == _bits(_recursion(A.tolist(), psf))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(arrivals=arrival_lists, cfg=configs(),
+       policy=st.one_of(policies, adaptive_policies), psf=psfs)
+def test_no_packet_starts_before_its_schedule(arrivals, cfg, policy, psf):
+    # DRX only delays service: the premise that lets a stretch, once a
+    # packet starts at its no-DRX start, follow that schedule exactly.
+    r = simulate(arrivals, cfg, policy, HORIZON, psf)
+    G, _ = engine._no_drx_schedule(r.arrivals, psf, cfg.t_in)
+    assert np.all(r.tx_starts >= G)
 
 
 @st.composite

@@ -345,22 +345,21 @@ class TestMetricsFields:
 
 class TestArrayPath:
     def test_dense_run_uses_array_path(self, monkeypatch):
-        # Long active stretches must go through _drain, and at psf 1 its
-        # closed form must reproduce the scalar recursion without a fallback.
-        served, declined = [], []
-        drain = engine._drain
+        # Long active stretches must be served from the no-DRX schedule,
+        # which the run builds once.
+        served, built = [], []
+        serve, build = engine._serve_from_schedule, engine._no_drx_schedule
 
-        def counting(*args):
-            out = drain(*args)
-            if out is None:
-                declined.append(args[1])
-            else:
-                served.append(len(out[0]))
+        def counting_serve(*args):
+            out = serve(*args)
+            served.append(len(out[0]))
             return out
 
-        monkeypatch.setattr(engine, "_drain", counting)
+        monkeypatch.setattr(engine, "_serve_from_schedule", counting_serve)
+        monkeypatch.setattr(engine, "_no_drx_schedule",
+                            lambda *args: built.append(1) or build(*args))
         m = run(_scenario(Policy.standard(), rate=0.9, horizon=25000.0), 1)
-        assert declined == []
+        assert built == [1]
         assert sum(served) > 0.9 * m.packets_served > 0
 
 
