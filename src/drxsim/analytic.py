@@ -19,8 +19,8 @@ and t_w = 0 and vanishes when DRX is never enabled (g -> inf), leaving the
 M/G/1 wait.  For Poisson traffic the moments collapse to closed forms,
 g = exp(lam * t_in), and with a = lam * t_w the model reduces to
 
-    E[W] = md1_wait + [q (q - 1) / (2 lam) + q t_w + lam t_w^2 / 2]
-                      / (q - 1 + a + g)
+    E[W] = rho / (2 mu (1 - rho))
+           + [q (q - 1) / (2 lam) + q t_w + lam t_w^2 / 2] / (q - 1 + a + g)
 
 which is the exact vacation decomposition (the M/D/1 wait plus the mean
 backlog held while service is withheld, divided by lam) when the extra wait
@@ -239,19 +239,3 @@ def dmean_wait_dq(lam: float, q_w: float, t_w: float, gamma: float) -> float:
     num = (c * (c / gamma + 2.0) + 1.0 - a / gamma) / gamma
     return num / (2.0 * lam * (c / gamma + 1.0) ** 2)
 
-
-def md1_wait(lam: float, mu: float) -> float:
-    """Mean wait in the M/D/1 queue: rho / (2 mu (1 - rho)).
-
-    This is the DRX-disabled limit of the coalesced model (an inactivity
-    timer so large that the UE never sleeps, at any threshold) and serves as
-    its oracle.
-    """
-    if lam <= 0 or mu <= 0:
-        raise ValueError("lam and mu must be > 0")
-    if lam >= mu:
-        raise StabilityError(
-            f"utilisation {lam / mu:.3f} >= 1; queue is unstable"
-        )
-    rho = lam / mu
-    return rho / (2.0 * mu * (1.0 - rho))

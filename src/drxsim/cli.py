@@ -33,7 +33,9 @@ apply).  Traffic kinds: ``poisson`` and ``pareto`` sweep over ``rates``
 segments and reports one row per segment plus a whole-run row, whose rate
 is the mean over the segments the run covered (a horizon shorter than the
 schedule cuts it).  ``seeds`` needs at least two distinct values >= 0.
-Unknown sections or keys are rejected, with the offending line named.
+Numbers must be finite: ``nan`` and ``inf`` are rejected, as are unknown
+sections and keys.  Every error names the key at fault and its line (a
+missing key has no line, a bad section header no key).
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import io
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import repeat
 
 from . import analytic
@@ -64,20 +66,14 @@ from .engine import (
     summarize,
 )
 
-CSV_COLUMNS = (
-    "scenario", "policy", "rate", "q_w", "w_star",
-    "mean_delay_ms", "ci_delay_ms", "sleep_frac", "ci_sleep",
-    "mean_qw", "ci_qw", "saturated",
-)
-
-_DEFAULT_CFG = dict(t_in=10.0, t_on=2.0, t_short=32.0, t_long=32.0, n_short=0)
-_DEFAULT_SEEDS = tuple(range(1, 11))
-
+# Every key of each section, with the text it reads as when absent; a key
+# without a default (None) is an error to read when absent.
 _SECTIONS = {
-    "drx": {"t_in", "t_on", "t_short", "t_long", "n_short"},
-    "run": {"horizon", "psf", "seeds", "confidence", "output"},
-    "traffic": {"kind", "rates", "shape", "trace", "segments"},
-    "policies": {"standard", "fixed", "adaptive"},
+    "drx": dict(t_in="10", t_on="2", t_short="32", t_long="32", n_short="0"),
+    "run": dict(horizon="100000", psf="1", seeds="1 2 3 4 5 6 7 8 9 10",
+                confidence="0.95", output=None),
+    "traffic": dict.fromkeys(("kind", "rates", "shape", "trace", "segments")),
+    "policies": dict(standard="off", fixed=None, adaptive=None),
 }
 # The [traffic] keys each kind reads besides ``kind``; any other is an error.
 _TRAFFIC_KEYS = {"poisson": {"rates"}, "pareto": {"rates", "shape"},
@@ -130,8 +126,76 @@ class ResultRow:
     saturated: bool
 
 
-def _scan(text: str) -> dict[str, dict[str, tuple[str, int]]]:
-    out: dict[str, dict[str, tuple[str, int]]] = {}
+CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
+
+
+@dataclass(frozen=True, slots=True)
+class _Item:
+    """One ``key = value`` of a spec, with its line (None for a default).
+
+    Each reader returns the value as the type its key needs, or raises a
+    ``SpecError`` that names the key and line.
+    """
+
+    text: str
+    line: int | None
+    key: str
+
+    def error(self, message: str) -> SpecError:
+        return SpecError(message, self.line, self.key)
+
+    def number(self, word: str | None = None) -> float:
+        """The value, or one word of it, as a finite float."""
+        word = self.text if word is None else word
+        try:
+            value = float(word)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise self.error(f"expected a finite number, got {word!r}")
+        return value
+
+    def integer(self, word: str | None = None) -> int:
+        word = self.text if word is None else word
+        try:
+            return int(word)
+        except ValueError:
+            raise self.error(f"expected an integer, got {word!r}") from None
+
+    def words(self) -> list[str]:
+        words = self.text.split()
+        if not words:
+            raise self.error("expected a nonempty list")
+        return words
+
+    def pairs(self, form: str) -> list[tuple[float, float]]:
+        """The value's ``a:b`` words, as pairs of finite floats."""
+        out = []
+        for word in self.words():
+            a, sep, b = word.partition(":")
+            if not sep:
+                raise self.error(f"expected {form!r}, got {word!r}")
+            out.append((self.number(a), self.number(b)))
+        return out
+
+    def build(self, make, *args, **kwargs):
+        """``make(*args, **kwargs)``, its ``ValueError`` reported here."""
+        try:
+            return make(*args, **kwargs)
+        except ValueError as e:
+            raise self.error(str(e)) from None
+
+
+class _Section(dict):
+    """A section's keys in file order, then its defaults; reading any other
+    key is a missing-key error."""
+
+    def __missing__(self, key: str) -> _Item:
+        raise SpecError("missing required key", None, key)
+
+
+def _scan(text: str) -> dict[str, _Section]:
+    out = {section: _Section() for section in _SECTIONS}
     section: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -143,7 +207,6 @@ def _scan(text: str) -> dict[str, dict[str, tuple[str, int]]]:
             section = line[1:-1].strip()
             if section not in _SECTIONS:
                 raise SpecError(f"unknown section [{section}]", lineno)
-            out.setdefault(section, {})
             continue
         if "=" not in line:
             raise SpecError("expected 'key = value'", lineno)
@@ -151,161 +214,83 @@ def _scan(text: str) -> dict[str, dict[str, tuple[str, int]]]:
             raise SpecError("key outside any section", lineno)
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
         if key not in _SECTIONS[section]:
             raise SpecError(f"unknown key in [{section}]", lineno, key)
         if key in out[section]:
             raise SpecError("duplicate key", lineno, key)
-        out[section][key] = (value, lineno)
+        out[section][key] = _Item(value.strip(), lineno, key)
+    for section, defaults in _SECTIONS.items():
+        for key, default in defaults.items():
+            if default is not None:
+                out[section].setdefault(key, _Item(default, None, key))
     return out
-
-
-def _get(scanned, section: str, key: str, default=None):
-    return scanned.get(section, {}).get(key, (default, None))
-
-
-def _as_float(value: str, line: int, key: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise SpecError(f"expected a number, got {value!r}", line, key) from None
-
-
-def _as_floats(value: str, line: int, key: str) -> tuple[float, ...]:
-    items = value.split()
-    if not items:
-        raise SpecError("expected a nonempty list", line, key)
-    return tuple(_as_float(v, line, key) for v in items)
-
-
-def _as_int(value: str, line: int, key: str) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise SpecError(f"expected an integer, got {value!r}", line, key) from None
 
 
 def parse_spec(text: str) -> ExperimentSpec:
     """Parse and fully validate an experiment spec document."""
-    scanned = _scan(text)
+    drx, run, traf, pol = _scan(text).values()  # in _SECTIONS order
 
-    cfg_kw = dict(_DEFAULT_CFG)
-    cfg_line = None
-    for key in _SECTIONS["drx"]:
-        value, line = _get(scanned, "drx", key)
-        if value is not None:
-            cfg_line = line
-            cfg_kw[key] = (_as_int(value, line, key) if key == "n_short"
-                           else _as_float(value, line, key))
-    try:
-        cfg = DrxConfig(**cfg_kw)
-    except ValueError as e:
-        raise SpecError(str(e), cfg_line, "[drx]") from None
+    # A bad timer geometry is reported at the first [drx] key in the file.
+    cfg = _Item("", next(iter(drx.values())).line, "[drx]").build(
+        DrxConfig, **{key: item.integer() if key == "n_short"
+                      else item.number() for key, item in drx.items()})
 
-    value, line = _get(scanned, "run", "horizon")
-    horizon = _as_float(value, line, "horizon") if value is not None else 100000.0
+    horizon = run["horizon"].number()
     if horizon <= 0:
-        raise SpecError("horizon must be > 0", line, "horizon")
-    value, line = _get(scanned, "run", "psf")
-    psf = _as_float(value, line, "psf") if value is not None else 1.0
+        raise run["horizon"].error("horizon must be > 0")
+    psf = run["psf"].number()
     if psf <= 0:
-        raise SpecError("psf must be > 0", line, "psf")
-    value, line = _get(scanned, "run", "seeds")
-    if value is not None:
-        seeds = tuple(_as_int(v, line, "seeds") for v in value.split())
-        if len(seeds) < 2:
-            raise SpecError("need at least 2 seeds", line, "seeds")
-        if min(seeds) < 0:
-            raise SpecError("seeds must be >= 0", line, "seeds")
-        if len(set(seeds)) != len(seeds):
-            raise SpecError("seeds must be distinct", line, "seeds")
-    else:
-        seeds = _DEFAULT_SEEDS
-    value, line = _get(scanned, "run", "confidence")
-    confidence = _as_float(value, line, "confidence") if value is not None else 0.95
+        raise run["psf"].error("psf must be > 0")
+    item = run["seeds"]
+    seeds = tuple(item.integer(w) for w in item.words())
+    if len(seeds) < 2:
+        raise item.error("need at least 2 seeds")
+    if min(seeds) < 0:
+        raise item.error("seeds must be >= 0")
+    if len(set(seeds)) != len(seeds):
+        raise item.error("seeds must be distinct")
+    confidence = run["confidence"].number()
     if not (0.0 < confidence < 1.0):
-        raise SpecError("confidence must be in (0, 1)", line, "confidence")
-    output, _ = _get(scanned, "run", "output")
+        raise run["confidence"].error("confidence must be in (0, 1)")
+    output = run["output"].text if "output" in run else None
 
-    value, kind_line = _get(scanned, "traffic", "kind")
-    if value is None:
-        raise SpecError("missing required key", kind_line, "kind")
-    kind = value.lower()
+    item = traf["kind"]
+    kind = item.text.lower()
     if kind not in _TRAFFIC_KEYS:
-        raise SpecError(f"unknown traffic kind {value!r}", kind_line, "kind")
-    for key, (_, line) in scanned["traffic"].items():
+        raise item.error(f"unknown traffic kind {item.text!r}")
+    for key, item in traf.items():
         if key != "kind" and key not in _TRAFFIC_KEYS[kind]:
-            raise SpecError(f"not used by traffic kind {kind!r}", line, key)
-
+            raise item.error(f"not used by traffic kind {kind!r}")
     if kind in ("poisson", "pareto"):
-        value, line = _get(scanned, "traffic", "rates")
-        if value is None:
-            raise SpecError("missing required key", line, "rates")
-        rates = _as_floats(value, line, "rates")
-        if any(r <= 0 for r in rates):
-            raise SpecError("rates must be > 0", line, "rates")
+        item = traf["rates"]
+        rates = [item.number(w) for w in item.words()]
+        if min(rates) <= 0:
+            raise item.error("rates must be > 0")
     if kind == "poisson":
         traffic = tuple(PoissonTraffic(r) for r in rates)
     if kind == "pareto":
-        value, line = _get(scanned, "traffic", "shape")
-        if value is None:
-            raise SpecError("missing required key", line, "shape")
-        shape = _as_float(value, line, "shape")
+        shape = traf["shape"].number()
         if shape <= 1.0:
-            raise SpecError("shape must be > 1 (finite mean)", line, "shape")
+            raise traf["shape"].error("shape must be > 1 (finite mean)")
         traffic = tuple(ParetoTraffic(r, shape) for r in rates)
     if kind == "trace":
-        path, line = _get(scanned, "traffic", "trace")
-        if path is None:
-            raise SpecError("missing required key", line, "trace")
-        traffic = (TraceTraffic(path),)
+        traffic = (TraceTraffic(traf["trace"].text),)
     if kind == "schedule":
-        value, line = _get(scanned, "traffic", "segments")
-        if value is None:
-            raise SpecError("missing required key", line, "segments")
-        segs = []
-        for item in value.split():
-            dur, sep, rate = item.partition(":")
-            if not sep:
-                raise SpecError(
-                    f"expected 'duration:rate', got {item!r}", line, "segments"
-                )
-            segs.append((_as_float(dur, line, "segments"),
-                         _as_float(rate, line, "segments")))
-        try:
-            traffic = (ScheduleTraffic(tuple(segs)),)
-        except ValueError as e:
-            raise SpecError(str(e), line, "segments") from None
+        item = traf["segments"]
+        traffic = (item.build(ScheduleTraffic,
+                              tuple(item.pairs("duration:rate"))),)
 
-    policies: list[Policy] = []
-    value, line = _get(scanned, "policies", "standard")
-    if value is not None:
-        flag = value.lower()
-        if flag not in ("on", "off", "true", "false", "yes", "no"):
-            raise SpecError(f"expected on/off, got {value!r}", line, "standard")
-        if flag in ("on", "true", "yes"):
-            policies.append(Policy.standard())
-    value, line = _get(scanned, "policies", "fixed")
-    if value is not None:
-        for q in _as_floats(value, line, "fixed"):
-            if q < 1:
-                raise SpecError("fixed thresholds must be >= 1", line, "fixed")
-            policies.append(Policy.fixed(q))
-    value, line = _get(scanned, "policies", "adaptive")
-    if value is not None:
-        for item in value.split():
-            w_star, sep, w_max = item.partition(":")
-            if not sep:
-                raise SpecError(
-                    f"expected 'w_star:w_max', got {item!r}", line, "adaptive"
-                )
-            try:
-                policies.append(Policy.adaptive(
-                    _as_float(w_star, line, "adaptive"),
-                    _as_float(w_max, line, "adaptive"),
-                ))
-            except ValueError as e:
-                raise SpecError(str(e), line, "adaptive") from None
+    item = pol["standard"]
+    flag = item.text.lower()
+    if flag not in ("on", "off", "true", "false", "yes", "no"):
+        raise item.error(f"expected on/off, got {item.text!r}")
+    policies = [Policy.standard()] if flag in ("on", "true", "yes") else []
+    if item := pol.get("fixed"):
+        policies += [item.build(Policy.fixed, item.number(w))
+                     for w in item.words()]
+    if item := pol.get("adaptive"):
+        policies += [item.build(Policy.adaptive, w_star, w_max)
+                     for w_star, w_max in item.pairs("w_star:w_max")]
     if not policies:
         raise SpecError("no policy enabled in [policies]", None, "[policies]")
 
@@ -340,10 +325,8 @@ def _point_rows(spec: ExperimentSpec, policy: Policy,
     else:
         metrics = replicate(scenario, spec.seeds)
     saturated = any(m.saturated for m in metrics)
-    # STANDARD releases at threshold 1, so that is its q_w column.
     q_col = (None if policy.kind is PolicyKind.ADAPTIVE_COALESCING
-             else policy.q_w if policy.kind is PolicyKind.FIXED_COALESCING
-             else 1.0)
+             else policy.q_w)
 
     def row(scenario_id: str, rate: float,
             per_seed: list[tuple[float, float, float]]) -> ResultRow:

@@ -56,9 +56,10 @@ class DrxConfig:
 class Policy:
     """Release discipline governing downlink transmission.
 
-    ``q_w`` is the fixed queue threshold (fixed coalescing only).  ``w_star``
-    and ``w_max`` are the target and maximum mean queueing delay in ms
-    (adaptive coalescing only).  Use the class methods to build instances.
+    ``q_w`` is the queue threshold of the non-adaptive policies: 1 for
+    standard DRX, >= 1 for fixed coalescing.  ``w_star`` and ``w_max`` are
+    the target and maximum mean queueing delay in ms (adaptive coalescing
+    only).  Use the class methods to build instances.
     """
 
     kind: PolicyKind
@@ -67,6 +68,8 @@ class Policy:
     w_max: float | None = None
 
     def __post_init__(self) -> None:
+        if self.kind is PolicyKind.STANDARD and self.q_w != 1:
+            raise ValueError(f"standard DRX has q_w 1, got {self.q_w}")
         if self.kind is PolicyKind.FIXED_COALESCING and self.q_w < 1:
             raise ValueError(f"fixed coalescing needs q_w >= 1, got {self.q_w}")
         if self.kind is PolicyKind.ADAPTIVE_COALESCING:

@@ -381,9 +381,7 @@ def simulate(arrivals: Sequence[float] | np.ndarray | tr.ArrivalStream,
         q_max = ctrl.q_max_from_bound(policy.w_max, psf)
         state = ctrl.initial_state(policy.w_star, q_max)
         lam_hat = _lambda_hat_series(A, 2.0 * policy.w_max)
-        q_w = state.q_w
-    else:
-        q_w = policy.q_w if policy.kind is PolicyKind.FIXED_COALESCING else 1.0
+    q_w = state.q_w if adaptive else policy.q_w
 
     # The scalar loop appends starts to ``tx``; an array from the no-DRX
     # schedule closes it.  RunResult joins the parts if ``tx_starts`` is read.

@@ -1,14 +1,32 @@
-"""The closed-form model's equilibrium threshold, found by bisection.
+"""Reference values of the closed-form model that the simulator never needs.
 
-The simulator never needs it: the adaptive controller tracks the target
-delay from measured delays.  The tests use it as the fixed point the tuner
-must reach, iterated against the model or re-converging after a rate step
-in simulation.
+``equilibrium_threshold`` is the model's equilibrium threshold, found by
+bisection: the adaptive controller tracks the target delay from measured
+delays, and the tests use it as the fixed point the tuner must reach,
+iterated against the model or re-converging after a rate step in
+simulation.  ``md1_wait`` is the model's DRX-disabled limit.
 """
 
 from __future__ import annotations
 
-from drxsim.analytic import mean_wait_poisson_raw
+from drxsim.analytic import StabilityError, mean_wait_poisson_raw
+
+
+def md1_wait(lam: float, mu: float) -> float:
+    """Mean wait in the M/D/1 queue: rho / (2 mu (1 - rho)).
+
+    This is the DRX-disabled limit of the coalesced model (an inactivity
+    timer so large that the UE never sleeps, at any threshold) and serves as
+    its oracle.
+    """
+    if lam <= 0 or mu <= 0:
+        raise ValueError("lam and mu must be > 0")
+    if lam >= mu:
+        raise StabilityError(
+            f"utilisation {lam / mu:.3f} >= 1; queue is unstable"
+        )
+    rho = lam / mu
+    return rho / (2.0 * mu * (1.0 - rho))
 
 
 def equilibrium_threshold(lam: float, w_star: float, t_w: float, gamma: float,

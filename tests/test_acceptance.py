@@ -62,7 +62,6 @@ from drxsim.analytic import (
     TrafficMoments,
     extra_wait_tw,
     gamma_poisson,
-    md1_wait,
     mean_wait_general,
     mean_wait_poisson,
     mean_wait_poisson_raw,
@@ -81,7 +80,7 @@ from drxsim.engine import (
     run_detailed,
     slice_stats,
 )
-from model_reference import equilibrium_threshold
+from model_reference import equilibrium_threshold, md1_wait
 
 CFG = DrxConfig(t_in=10, t_on=2, t_short=32, t_long=32)
 TW = extra_wait_tw(32, 2)

@@ -22,14 +22,13 @@ from drxsim.analytic import (
     dmean_wait_dq,
     extra_wait_tw,
     gamma_poisson,
-    md1_wait,
     mean_wait_general,
     mean_wait_poisson,
     mean_wait_poisson_raw,
     poisson_vacation_moments,
 )
 from drxsim.drx import DrxConfig
-from model_reference import equilibrium_threshold
+from model_reference import equilibrium_threshold, md1_wait
 
 CFG = DrxConfig(t_in=10, t_on=2, t_short=32, t_long=32)
 TW = 14.0625  # (32 - 2)^2 / (2 * 32)

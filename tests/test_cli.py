@@ -29,6 +29,8 @@ rates = 0.2 0.5
 standard = on
 """
 
+POLICIES = "\n[policies]\nstandard = on\n"
+
 FULL = """
 [drx]
 t_in = 10
@@ -108,6 +110,27 @@ class TestParsing:
             parse_spec(text)
         assert err.value.key == extra.split()[0]
         assert err.value.line == 4
+
+    @pytest.mark.parametrize("text, key, line", [
+        ("[run]\nhorizon = inf\n" + MINIMAL, "horizon", 2),
+        ("[run]\npsf = inf\n" + MINIMAL, "psf", 2),
+        ("[drx]\nt_long = inf\n" + MINIMAL, "t_long", 2),
+        ("[traffic]\nkind = poisson\nrates = nan\n" + POLICIES, "rates", 3),
+        ("[traffic]\nkind = pareto\nrates = 0.1\nshape = inf\n" + POLICIES,
+         "shape", 4),
+        ("[traffic]\nkind = schedule\nsegments = 1000:inf\n" + POLICIES,
+         "segments", 3),
+        (MINIMAL + "fixed = inf\n", "fixed", 8),
+        (MINIMAL + "adaptive = 64:inf\n", "adaptive", 8),
+    ], ids=["horizon", "psf", "t_long", "rates", "shape", "segments", "fixed",
+            "adaptive"])
+    def test_non_finite_number_rejected(self, text, key, line):
+        # A non-finite number would pass validate and overflow in the run.
+        with pytest.raises(SpecError) as err:
+            parse_spec(text)
+        assert err.value.key == key
+        assert err.value.line == line
+        assert "finite" in str(err.value)
 
     def test_missing_kind(self):
         with pytest.raises(SpecError):
@@ -265,6 +288,25 @@ class TestMain:
         assert main(["validate", path]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_validate_rejects_infinite_horizon(self, tmp_path, capsys):
+        # validate must fail where run would, with an error, not a traceback.
+        path = self._write(tmp_path, "[run]\nhorizon = inf\n" + MINIMAL)
+        assert main(["validate", path]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_drx_error_line_ignores_hash_seed(self, tmp_path):
+        # A bad geometry names the first [drx] key in the file, under every
+        # hash seed, so the message does not depend on set iteration order.
+        path = self._write(tmp_path, "[drx]\nt_in = 10\nt_on = 40\n"
+                           "t_short = 32\n" + MINIMAL)
+        for seed in range(1, 7):
+            proc = subprocess.run(
+                [sys.executable, "-m", "drxsim.cli", "validate", path],
+                env=_src_env(PYTHONHASHSEED=str(seed)), capture_output=True,
+                text=True)
+            assert proc.returncode == 2
+            assert "key '[drx]', line 2:" in proc.stderr, (seed, proc.stderr)
+
     def test_validate_missing_trace(self, tmp_path, capsys):
         path = self._write(tmp_path, "[traffic]\nkind = trace\n"
                            "trace = /nonexistent/x.trace\n\n"
@@ -370,14 +412,18 @@ class TestBundledExperiments:
                 == read("experiments", f"{name}.spec"))
 
 
+def _src_env(**extra: str) -> dict[str, str]:
+    """This environment for a child Python that imports drxsim from src/."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))), **extra)
+
+
 def test_import_loads_no_scipy():
     # Importing scipy.stats alone takes over a second, most of a cold
     # start; the command line needs numpy and the standard library only.
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
     code = ("import drxsim.cli, sys; print(sorted(m for m in sys.modules"
             " if m == 'scipy' or m.startswith('scipy.')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                         check=True, capture_output=True, text=True).stdout
     assert out.strip() == "[]"

@@ -26,7 +26,7 @@ from drx_reference import (
     next_cycle_length,
     release_condition,
 )
-from drxsim.drx import DrxConfig, Policy
+from drxsim.drx import DrxConfig, Policy, PolicyKind
 
 CFG = DrxConfig(t_in=10, t_on=2, t_short=32, t_long=64, n_short=3)
 
@@ -53,6 +53,8 @@ class TestConfig:
     def test_policy_invariants(self):
         with pytest.raises(ValueError):
             Policy.fixed(0.5)
+        with pytest.raises(ValueError):
+            Policy(PolicyKind.STANDARD, q_w=8)  # standard DRX is threshold 1
         with pytest.raises(ValueError):
             Policy.adaptive(64, 32)  # w_max < w_star
         with pytest.raises(ValueError):
