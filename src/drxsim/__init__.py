@@ -10,19 +10,22 @@ from .analytic import StabilityError, mean_wait_poisson
 from .drx import DrxConfig, Policy, PolicyKind
 from .engine import (
     Metrics,
-    ParetoTraffic,
-    PoissonTraffic,
     RunResult,
     Scenario,
-    ScheduleTraffic,
     SummaryStats,
-    TraceTraffic,
     confidence_interval,
     run,
     run_detailed,
     run_replicated,
     simulate,
 )
-from .traffic import ArrivalStream, TraceFormatError
+from .traffic import (
+    ArrivalStream,
+    ParetoTraffic,
+    PoissonTraffic,
+    ScheduleTraffic,
+    TraceFormatError,
+    TraceTraffic,
+)
 
 __version__ = "0.1.0"

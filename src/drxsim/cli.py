@@ -32,7 +32,8 @@ apply).  Traffic kinds: ``poisson`` and ``pareto`` sweep over ``rates``
 ``schedule`` drives a piecewise-constant rate given as ``duration:rate``
 segments and reports one row per segment plus a whole-run row, whose rate
 is the mean over the segments the run covered (a horizon shorter than the
-schedule cuts it).  ``seeds`` needs at least two distinct values >= 0.
+schedule cuts it).  ``seeds`` needs at least two distinct values >= 0, and
+each ``adaptive`` pair a threshold cap ``w_max / psf`` of at least 1.
 Numbers must be finite: ``nan`` and ``inf`` are rejected, as are unknown
 sections and keys.  Every error names the key at fault and its line (a
 missing key has no line, a bad section header no key).
@@ -51,19 +52,16 @@ from dataclasses import dataclass, fields, replace
 from itertools import repeat
 
 from . import analytic
+from . import controller as ctrl
 from .drx import DrxConfig, Policy, PolicyKind
-from .engine import (
+from .engine import Scenario, replicate, run_detailed, slice_stats, summarize
+from .traffic import (
     ParetoTraffic,
     PoissonTraffic,
-    Scenario,
     ScheduleTraffic,
     TraceTraffic,
     TrafficKind,
     _running_sum,
-    replicate,
-    run_detailed,
-    slice_stats,
-    summarize,
 )
 
 # Every key of each section, with the text it reads as when absent; a key
@@ -263,16 +261,13 @@ def parse_spec(text: str) -> ExperimentSpec:
             raise item.error(f"not used by traffic kind {kind!r}")
     if kind in ("poisson", "pareto"):
         item = traf["rates"]
-        rates = [item.number(w) for w in item.words()]
-        if min(rates) <= 0:
-            raise item.error("rates must be > 0")
-    if kind == "poisson":
-        traffic = tuple(PoissonTraffic(r) for r in rates)
+        traffic = tuple(item.build(PoissonTraffic, item.number(w))
+                        for w in item.words())
     if kind == "pareto":
-        shape = traf["shape"].number()
-        if shape <= 1.0:
-            raise traf["shape"].error("shape must be > 1 (finite mean)")
-        traffic = tuple(ParetoTraffic(r, shape) for r in rates)
+        # The rates passed as Poisson rates, so any error left is the shape's.
+        item = traf["shape"]
+        traffic = tuple(item.build(ParetoTraffic, t.rate, item.number())
+                        for t in traffic)
     if kind == "trace":
         traffic = (TraceTraffic(traf["trace"].text),)
     if kind == "schedule":
@@ -289,8 +284,11 @@ def parse_spec(text: str) -> ExperimentSpec:
         policies += [item.build(Policy.fixed, item.number(w))
                      for w in item.words()]
     if item := pol.get("adaptive"):
-        policies += [item.build(Policy.adaptive, w_star, w_max)
-                     for w_star, w_max in item.pairs("w_star:w_max")]
+        for w_star, w_max in item.pairs("w_star:w_max"):
+            policies.append(item.build(Policy.adaptive, w_star, w_max))
+            # The run's threshold cap must admit one packet.
+            item.build(ctrl.initial_state, w_star,
+                       ctrl.q_max_from_bound(w_max, psf))
     if not policies:
         raise SpecError("no policy enabled in [policies]", None, "[policies]")
 
@@ -440,6 +438,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_model(args: argparse.Namespace) -> int:
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"--{name.replace('_', '-')} must be finite, "
+                             f"got {value}")
     cfg = DrxConfig(t_in=args.t_in, t_on=args.t_on,
                     t_short=args.t_cycle, t_long=args.t_cycle)
     t_w = analytic.extra_wait_tw(cfg.t_short, cfg.t_on)

@@ -11,8 +11,18 @@ the test suite checks it against an event-by-event UE state machine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+
+
+def _check_finite(value_type, *names: str) -> None:
+    """Raise ``ValueError`` naming the first of the fields ``names`` of
+    ``value_type`` that is not a finite number."""
+    for name in names:
+        value = getattr(value_type, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 class PolicyKind(Enum):
@@ -39,6 +49,7 @@ class DrxConfig:
     n_short: int = 0
 
     def __post_init__(self) -> None:
+        _check_finite(self, "t_in", "t_on", "t_short", "t_long", "n_short")
         if self.t_in < 0:
             raise ValueError(f"t_in must be >= 0, got {self.t_in}")
         if self.t_on <= 0 or self.t_short <= 0 or self.t_long <= 0:
@@ -68,6 +79,7 @@ class Policy:
     w_max: float | None = None
 
     def __post_init__(self) -> None:
+        _check_finite(self, "q_w")
         if self.kind is PolicyKind.STANDARD and self.q_w != 1:
             raise ValueError(f"standard DRX has q_w 1, got {self.q_w}")
         if self.kind is PolicyKind.FIXED_COALESCING and self.q_w < 1:
@@ -75,6 +87,7 @@ class Policy:
         if self.kind is PolicyKind.ADAPTIVE_COALESCING:
             if self.w_star is None or self.w_max is None:
                 raise ValueError("adaptive coalescing needs w_star and w_max")
+            _check_finite(self, "w_star", "w_max")
             if not (self.w_max >= self.w_star > 0):
                 raise ValueError(
                     f"need w_max >= w_star > 0, got ({self.w_star}, {self.w_max})"

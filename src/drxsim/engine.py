@@ -68,60 +68,20 @@ import numpy as np
 from . import controller as ctrl
 from . import traffic as tr
 from .drx import DrxConfig, Policy, PolicyKind
-
-
-@dataclass(frozen=True, slots=True)
-class PoissonTraffic:
-    rate: float
-
-
-@dataclass(frozen=True, slots=True)
-class ParetoTraffic:
-    rate: float
-    shape: float
-
-
-@dataclass(frozen=True, slots=True)
-class TraceTraffic:
-    path: str
-
-
-@dataclass(frozen=True, slots=True)
-class ScheduleTraffic:
-    """Piecewise-constant Poisson rate: ((duration ms, rate), ...)."""
-
-    segments: tuple[tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        if not self.segments:
-            raise ValueError("schedule needs at least one segment")
-        for dur, rate in self.segments:
-            if dur <= 0:
-                raise ValueError(f"segment duration must be > 0, got {dur}")
-            if rate <= 0:
-                raise ValueError(f"segment rate must be > 0, got {rate}")
-
-    @property
-    def total_duration(self) -> float:
-        return _running_sum(0.0, [d for d, _ in self.segments])
-
-
-TrafficKind = PoissonTraffic | ParetoTraffic | TraceTraffic | ScheduleTraffic
+from .traffic import _check_above, _running_sum
 
 
 @dataclass(frozen=True, slots=True)
 class Scenario:
     cfg: DrxConfig
     policy: Policy
-    traffic: TrafficKind
+    traffic: tr.TrafficKind
     horizon: float
     psf: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.horizon <= 0:
-            raise ValueError(f"horizon must be > 0, got {self.horizon}")
-        if self.psf <= 0:
-            raise ValueError(f"psf must be > 0, got {self.psf}")
+        _check_above("horizon", self.horizon, 0.0)
+        _check_above("psf", self.psf, 0.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -345,11 +305,6 @@ def _serve_from_schedule(A: np.ndarray, G: np.ndarray, breaks: np.ndarray,
     return starts[:h], free, h < len(starts)
 
 
-def _running_sum(start: float, d: Sequence[float] | np.ndarray) -> float:
-    # ``start + d[0] + d[1] + ...`` in order, as ``+=`` would add them.
-    return float(np.add.accumulate(np.concatenate(([start], d)))[-1])
-
-
 def simulate(arrivals: Sequence[float] | np.ndarray | tr.ArrivalStream,
              cfg: DrxConfig, policy: Policy, horizon: float,
              psf: float = 1.0) -> RunResult:
@@ -360,10 +315,8 @@ def simulate(arrivals: Sequence[float] | np.ndarray | tr.ArrivalStream,
     ``ArrivalStream`` was checked when it was built and is used as is; any
     other sequence is copied and checked here.
     """
-    if horizon <= 0:
-        raise ValueError(f"horizon must be > 0, got {horizon}")
-    if psf <= 0:
-        raise ValueError(f"psf must be > 0, got {psf}")
+    _check_above("horizon", horizon, 0.0)
+    _check_above("psf", psf, 0.0)
     if isinstance(arrivals, tr.ArrivalStream):
         A_arr = arrivals.arrivals
     else:
@@ -487,18 +440,10 @@ def simulate(arrivals: Sequence[float] | np.ndarray | tr.ArrivalStream,
     )
 
 
-def make_arrivals(traffic: TrafficKind, horizon: float, seed: int) -> tr.ArrivalStream:
+def make_arrivals(traffic: tr.TrafficKind, horizon: float,
+                  seed: int) -> tr.ArrivalStream:
     """Materialise the arrival stream a scenario describes."""
-    if isinstance(traffic, PoissonTraffic):
-        return tr.gen_poisson(traffic.rate, horizon, seed)
-    if isinstance(traffic, ParetoTraffic):
-        return tr.gen_pareto(traffic.rate, traffic.shape, horizon, seed)
-    if isinstance(traffic, ScheduleTraffic):
-        return tr.gen_schedule(traffic.segments, seed)
-    if isinstance(traffic, TraceTraffic):
-        with open(traffic.path, "rb") as fh:
-            return tr.load_trace(fh)
-    raise TypeError(f"unknown traffic kind {traffic!r}")
+    return traffic.arrivals(horizon, seed)
 
 
 def run_detailed(scenario: Scenario, seed: int) -> RunResult:

@@ -1,6 +1,9 @@
-"""Arrival-process generation and trace ingestion.
+"""Traffic kinds: arrival-process generation and trace ingestion.
 
-Generators are pure functions of (parameters, seed) backed by numpy's PCG64
+Each traffic kind is a frozen value type that checks its parameters once,
+when it is built (every number finite, rates and durations > 0, a Pareto
+shape > 1), and draws its own stream: ``kind.arrivals(horizon, seed)``.
+Draws are pure functions of (parameters, seed) backed by numpy's PCG64
 generator, so identical inputs always reproduce identical streams, across
 platforms.  The Pareto sampler uses plain inverse-transform sampling on the
 generator's 64-bit uniforms (``gap = x_m * (1 - U) ** (-1/shape)``), kept
@@ -9,14 +12,14 @@ per gap is pinned to one and streams stay stable across numpy versions.
 
 A stream holds its arrivals as a read-only float64 ndarray, checked once in
 vectorised form (``check_arrivals``, which ``engine.simulate`` shares for
-other inputs; a stream it is given is not checked again).  Generators hand
-their fresh array over without a copy.
-Generators draw their gaps in blocks.  ``gen_schedule`` must leave the
-generator exactly where one draw per gap would, because the next segment
-draws on from there: it draws a block, finds the first arrival past the
-segment end, rewinds the generator to the saved state and redraws exactly
-the gaps the segment consumes.  The arrival instants are running sums from
-the segment start (``np.cumsum`` adds in order, like a scalar loop).
+other inputs; a stream it is given is not checked again).  A kind hands
+its freshly drawn array over without a copy.
+Gaps are drawn in blocks.  A schedule must leave the generator exactly
+where one draw per gap would, because the next segment draws on from
+there: it draws a block, finds the first arrival past the segment end,
+rewinds the generator to the saved state and redraws exactly the gaps the
+segment consumes.  The arrival instants are running sums from the segment
+start (``np.cumsum`` adds in order, like a scalar loop).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -61,7 +64,7 @@ class ArrivalStream:
 
     ``arrivals`` may be given as any sequence of floats; the stream keeps a
     read-only float64 ndarray copy of it.  A read-only float64 array that
-    owns its data (as the generators make) is kept without a copy.
+    owns its data (as the traffic kinds draw) is kept without a copy.
     """
 
     arrivals: np.ndarray
@@ -90,6 +93,18 @@ class ArrivalStream:
         return len(self.arrivals)
 
 
+def _running_sum(start: float, d: Sequence[float] | np.ndarray) -> float:
+    # ``start + d[0] + d[1] + ...`` in order, as ``+=`` would add them;
+    # never Python's ``sum``, which is compensated from CPython 3.12 on.
+    return float(np.add.accumulate(np.concatenate(([start], d)))[-1])
+
+
+def _check_above(name: str, value: float, low: float) -> None:
+    # ``low < value < inf``, which NaN fails too.
+    if not low < value < math.inf:
+        raise ValueError(f"{name} must be finite and > {low:g}, got {value}")
+
+
 def _fresh(parts: list[np.ndarray]) -> np.ndarray:
     # A new read-only array, for ArrivalStream to keep without a copy.
     arr = np.concatenate(parts) if parts else np.empty(0)
@@ -97,9 +112,11 @@ def _fresh(parts: list[np.ndarray]) -> np.ndarray:
     return arr
 
 
-def _accumulate_gaps(rng: np.random.Generator, draw, rate: float,
-                     horizon: float) -> np.ndarray:
-    # Draw in chunks until the running sum passes the horizon.
+def _accumulate_gaps(seed: int, draw, rate: float,
+                     horizon: float) -> ArrivalStream:
+    # A renewal stream: gaps drawn in chunks until they pass the horizon.
+    _check_above("horizon", horizon, 0.0)
+    rng = np.random.default_rng(seed)
     parts: list[np.ndarray] = []
     t = 0.0
     chunk = max(int(rate * horizon * 1.05) + 16, 64)
@@ -108,83 +125,119 @@ def _accumulate_gaps(rng: np.random.Generator, draw, rate: float,
         cut = int(np.searchsorted(ts, horizon, side="right"))
         parts.append(ts[:cut])
         if cut < len(ts):
-            return _fresh(parts)
+            return ArrivalStream(_fresh(parts), horizon)
         t = float(ts[-1])
         chunk = max(chunk // 4, 64)
 
 
-def gen_poisson(rate: float, horizon: float, seed: int) -> ArrivalStream:
+@dataclass(frozen=True, slots=True)
+class PoissonTraffic:
     """Poisson arrivals: i.i.d. exponential gaps with mean ``1/rate`` ms."""
-    if rate <= 0:
-        raise ValueError(f"rate must be > 0, got {rate}")
-    if horizon <= 0:
-        raise ValueError(f"horizon must be > 0, got {horizon}")
-    rng = np.random.default_rng(seed)
-    scale = 1.0 / rate
-    arr = _accumulate_gaps(rng, lambda r, n: r.exponential(scale, n), rate, horizon)
-    return ArrivalStream(arr, horizon)
+
+    rate: float
+
+    def __post_init__(self) -> None:
+        _check_above("rate", self.rate, 0.0)
+
+    def arrivals(self, horizon: float, seed: int) -> ArrivalStream:
+        scale = 1.0 / self.rate
+        return _accumulate_gaps(seed, lambda r, n: r.exponential(scale, n),
+                                self.rate, horizon)
 
 
-def gen_pareto(rate: float, shape: float, horizon: float, seed: int) -> ArrivalStream:
+@dataclass(frozen=True, slots=True)
+class ParetoTraffic:
     """Pareto-renewal arrivals with the scale chosen so the mean gap is 1/rate.
 
-    Requires ``shape > 1`` (finite mean); the scale is
-    ``x_m = (shape - 1) / (shape * rate)``.  Shapes at or below 1 have an
-    infinite mean gap and are rejected.
+    The shape must exceed 1 (a finite mean); the scale is
+    ``x_m = (shape - 1) / (shape * rate)``.
     """
-    if shape <= 1.0:
-        raise ValueError(f"shape must be > 1 for a finite mean, got {shape}")
-    if rate <= 0:
-        raise ValueError(f"rate must be > 0, got {rate}")
-    if horizon <= 0:
-        raise ValueError(f"horizon must be > 0, got {horizon}")
-    rng = np.random.default_rng(seed)
-    x_m = (shape - 1.0) / (shape * rate)
-    inv = -1.0 / shape
 
-    def draw(r: np.random.Generator, n: int) -> np.ndarray:
-        # 1 - U is in (0, 1], so the power stays finite.
-        return x_m * (1.0 - r.random(n)) ** inv
+    rate: float
+    shape: float
 
-    arr = _accumulate_gaps(rng, draw, rate, horizon)
-    return ArrivalStream(arr, horizon)
+    def __post_init__(self) -> None:
+        _check_above("rate", self.rate, 0.0)
+        _check_above("shape", self.shape, 1.0)
+
+    def arrivals(self, horizon: float, seed: int) -> ArrivalStream:
+        x_m = (self.shape - 1.0) / (self.shape * self.rate)
+        inv = -1.0 / self.shape
+
+        def draw(r: np.random.Generator, n: int) -> np.ndarray:
+            # 1 - U is in (0, 1], so the power stays finite.
+            return x_m * (1.0 - r.random(n)) ** inv
+
+        return _accumulate_gaps(seed, draw, self.rate, horizon)
 
 
-def gen_schedule(segments: Iterable[tuple[float, float]], seed: int) -> ArrivalStream:
-    """Piecewise-constant-rate Poisson arrivals.
+@dataclass(frozen=True, slots=True)
+class TraceTraffic:
+    """A recorded arrival file, read by ``load_trace`` at each draw; the
+    stream spans the file, whatever ``horizon`` and ``seed``."""
 
-    ``segments`` is a sequence of (duration ms, rate packets/ms).  Each
-    segment draws fresh exponential gaps from its start; by memorylessness
-    this is an exact construction of the piecewise-homogeneous process.
-    A segment consumes one draw per arrival plus the draw that crosses its
-    end, as a one-gap-at-a-time loop would, so the streams do not depend on
-    the block size.  ``seed`` may also be a ``numpy.random.Generator``,
-    which is then drawn from (and left where that loop would leave it).
+    path: str
+
+    def arrivals(self, horizon: float, seed: int) -> ArrivalStream:
+        with open(self.path, "rb") as fh:
+            return load_trace(fh)
+
+
+@dataclass(frozen=True, slots=True)
+class ScheduleTraffic:
+    """Piecewise-constant-rate Poisson arrivals: ((duration ms, rate), ...).
+
+    Each segment draws fresh exponential gaps from its start; by
+    memorylessness this is an exact construction of the
+    piecewise-homogeneous process.
     """
-    rng = np.random.default_rng(seed)
-    parts: list[np.ndarray] = []
-    t0 = 0.0
-    for dur, rate in segments:
-        if dur <= 0:
-            raise ValueError(f"segment duration must be > 0, got {dur}")
-        if rate <= 0:
-            raise ValueError(f"segment rate must be > 0, got {rate}")
-        end = t0 + dur
-        scale = 1.0 / rate
-        t = t0
-        while True:
-            saved = rng.bit_generator.state
-            k = int(rate * (end - t) * 1.05) + 16
-            ts = np.cumsum(np.concatenate(([t], rng.exponential(scale, k))))[1:]
-            cut = int(np.searchsorted(ts, end, side="left"))
-            parts.append(ts[:cut])
-            if cut < k:
-                rng.bit_generator.state = saved
-                rng.exponential(scale, cut + 1)
-                break
-            t = float(ts[-1])
-        t0 = end
-    return ArrivalStream(_fresh(parts), t0)
+
+    segments: tuple[tuple[float, float], ...]
+
+    def __post_init__(self) -> None:
+        if not self.segments:
+            raise ValueError("schedule needs at least one segment")
+        for dur, rate in self.segments:
+            _check_above("segment duration", dur, 0.0)
+            _check_above("segment rate", rate, 0.0)
+
+    @property
+    def total_duration(self) -> float:
+        return _running_sum(0.0, [d for d, _ in self.segments])
+
+    def arrivals(self, horizon: float,
+                 seed: int | np.random.Generator) -> ArrivalStream:
+        """The whole schedule's stream, whatever ``horizon``.
+
+        A segment consumes one draw per arrival plus the draw that crosses
+        its end, as a one-gap-at-a-time loop would, so the streams do not
+        depend on the block size.  ``seed`` may also be a
+        ``numpy.random.Generator``, which is then drawn from (and left
+        where that loop would leave it).
+        """
+        rng = np.random.default_rng(seed)
+        parts: list[np.ndarray] = []
+        t0 = 0.0
+        for dur, rate in self.segments:
+            end = t0 + dur
+            scale = 1.0 / rate
+            t = t0
+            while True:
+                saved = rng.bit_generator.state
+                k = int(rate * (end - t) * 1.05) + 16
+                ts = np.cumsum(np.concatenate(([t], rng.exponential(scale, k))))[1:]
+                cut = int(np.searchsorted(ts, end, side="left"))
+                parts.append(ts[:cut])
+                if cut < k:
+                    rng.bit_generator.state = saved
+                    rng.exponential(scale, cut + 1)
+                    break
+                t = float(ts[-1])
+            t0 = end
+        return ArrivalStream(_fresh(parts), t0)
+
+
+TrafficKind = PoissonTraffic | ParetoTraffic | TraceTraffic | ScheduleTraffic
 
 
 def load_trace(source: str | bytes | IO) -> ArrivalStream:

@@ -71,15 +71,13 @@ from drxsim.analytic import (
 from drxsim.cli import emit_csv, parse_spec, run_experiment
 from drxsim.drx import DrxConfig, Policy
 from drxsim.engine import (
-    ParetoTraffic,
-    PoissonTraffic,
     Scenario,
-    ScheduleTraffic,
     confidence_interval,
     replicate,
     run_detailed,
     slice_stats,
 )
+from drxsim.traffic import ParetoTraffic, PoissonTraffic, ScheduleTraffic
 from model_reference import equilibrium_threshold, md1_wait
 
 CFG = DrxConfig(t_in=10, t_on=2, t_short=32, t_long=32)

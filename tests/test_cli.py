@@ -18,7 +18,7 @@ from drxsim.cli import (
     run_experiment,
 )
 from drxsim.drx import PolicyKind
-from drxsim.engine import ScheduleTraffic
+from drxsim.traffic import ScheduleTraffic
 
 MINIMAL = """
 [traffic]
@@ -164,6 +164,30 @@ class TestParsing:
                 "\n[policies]\nadaptive = 512:256\n")
         with pytest.raises(SpecError):
             parse_spec(text)
+
+    @pytest.mark.parametrize("run, pairs", [
+        ("", "64:128 0.2:0.5"), ("psf = 200\n", "64:128"),
+    ], ids=["psf1", "psf200"])
+    def test_adaptive_cap_below_one_packet(self, run, pairs):
+        # w_max / psf < 1 used to pass validate and fail the run at its
+        # first adaptive grid point.
+        text = (f"[run]\n{run}[traffic]\nkind = poisson\nrates = 0.1\n"
+                f"\n[policies]\nadaptive = {pairs}\n")
+        with pytest.raises(SpecError, match="q_max must be >= 1") as err:
+            parse_spec(text)
+        assert err.value.key == "adaptive"
+        assert err.value.line == text.count("\n")
+
+    @pytest.mark.parametrize("values, key, line", [
+        ("rates = 0.1 -0.2\nshape = 1.5", "rates", 3),
+        ("rates = 0.1 0\nshape = 1.5", "rates", 3),
+        ("rates = 0.1\nshape = 0.5", "shape", 4),
+    ], ids=["negative_rate", "zero_rate", "shape"])
+    def test_traffic_range_error_names_key(self, values, key, line):
+        text = f"[traffic]\nkind = pareto\n{values}\n" + POLICIES
+        with pytest.raises(SpecError, match="must be finite and >") as err:
+            parse_spec(text)
+        assert (err.value.key, err.value.line) == (key, line)
 
     def test_no_policies(self):
         text = "[traffic]\nkind = poisson\nrates = 0.1\n\n[policies]\nstandard = off\n"
@@ -373,6 +397,18 @@ class TestMain:
     def test_model_rejects_unstable(self, capsys):
         assert main(["model", "--rate", "1.5", "--q-w", "8"]) == 2
         assert "unstable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra, name", [
+        (["--rate", "nan"], "--rate"), (["--q-w", "inf"], "--q-w"),
+        (["--t-in", "nan"], "--t-in"), (["--var-s", "nan"], "--var-s"),
+    ], ids=["rate", "q_w", "t_in", "var_s"])
+    def test_model_rejects_non_finite(self, capsys, extra, name):
+        # These used to print a verdict for a NaN wait and exit 0.  A
+        # repeated option takes its last value.
+        assert main(["model", "--rate", "0.1", "--q-w", "8", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {name} must be finite" in captured.err
 
     def test_missing_spec_file(self, capsys):
         assert main(["run", "/nonexistent.spec"]) == 2

@@ -38,7 +38,8 @@ from hypothesis import strategies as st
 from drx_reference import lindley_run, reference_run, sleep_between
 from drxsim import engine
 from drxsim.drx import DrxConfig, Policy
-from drxsim.engine import PoissonTraffic, make_arrivals, simulate
+from drxsim.engine import make_arrivals, simulate
+from drxsim.traffic import PoissonTraffic
 
 TOL = 1e-9
 HORIZON = 1000.0

@@ -23,17 +23,19 @@ from drxsim.cli import parse_spec, run_experiment
 from drxsim.drx import DrxConfig, Policy
 from drxsim.engine import (
     Metrics,
-    ParetoTraffic,
-    PoissonTraffic,
     Scenario,
-    ScheduleTraffic,
-    TraceTraffic,
     confidence_interval,
     run,
     run_detailed,
     run_replicated,
     simulate,
     slice_stats,
+)
+from drxsim.traffic import (
+    ParetoTraffic,
+    PoissonTraffic,
+    ScheduleTraffic,
+    TraceTraffic,
 )
 
 CFG = DrxConfig(t_in=10, t_on=2, t_short=32, t_long=32)
@@ -361,6 +363,36 @@ class TestArrayPath:
         m = run(_scenario(Policy.standard(), rate=0.9, horizon=25000.0), 1)
         assert built == [1]
         assert sum(served) > 0.9 * m.packets_served > 0
+
+
+class TestValueTypes:
+    # A non-finite field used to construct and then fail deep in a run
+    # (a NaN cast to int, an overflow, a NaN metric); every value type, and
+    # simulate for its own arguments, now rejects it.
+    @pytest.mark.parametrize("make, field", [
+        (lambda: DrxConfig(math.nan, 2, 32, 32), "t_in"),
+        (lambda: DrxConfig(10, 2, 32, math.inf), "t_long"),
+        (lambda: DrxConfig(10, 2, 32, 32, math.nan), "n_short"),
+        (lambda: Policy.fixed(math.inf), "q_w"),
+        (lambda: Policy.adaptive(64, math.inf), "w_max"),
+        (lambda: Policy.adaptive(math.nan, 128), "w_star"),
+        (lambda: Scenario(CFG, Policy.standard(), PoissonTraffic(0.1),
+                          math.inf), "horizon"),
+        (lambda: Scenario(CFG, Policy.standard(), PoissonTraffic(0.1), H,
+                          math.nan), "psf"),
+        (lambda: simulate([1.0], CFG, Policy.standard(), math.inf), "horizon"),
+        (lambda: simulate([1.0], CFG, Policy.standard(), H, math.nan), "psf"),
+        (lambda: PoissonTraffic(math.nan), "rate"),
+        (lambda: ParetoTraffic(math.inf, 1.5), "rate"),
+        (lambda: ParetoTraffic(0.1, math.nan), "shape"),
+        (lambda: ScheduleTraffic(((math.inf, 0.1),)), "segment duration"),
+        (lambda: ScheduleTraffic(((1000.0, math.inf),)), "segment rate"),
+    ], ids=["t_in", "t_long", "n_short", "q_w", "w_max", "w_star", "horizon",
+            "psf", "simulate_horizon", "simulate_psf", "poisson_rate",
+            "pareto_rate", "shape", "duration", "segment_rate"])
+    def test_non_finite_field_rejected(self, make, field):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            make()
 
 
 class TestTraceScenario:

@@ -15,10 +15,11 @@ import pytest
 from drxsim.engine import _lambda_hat_series
 from drxsim.traffic import (
     ArrivalStream,
+    ParetoTraffic,
+    PoissonTraffic,
+    ScheduleTraffic,
     TraceFormatError,
-    gen_pareto,
-    gen_poisson,
-    gen_schedule,
+    TraceTraffic,
     load_trace,
 )
 
@@ -33,7 +34,7 @@ def _gaps(stream: ArrivalStream) -> np.ndarray:
 
 
 def _schedule_oracle(segments, rng: np.random.Generator) -> list[float]:
-    # gen_schedule's arrivals drawn one gap at a time: each segment draws
+    # A schedule's arrivals drawn one gap at a time: each segment draws
     # until a running sum from its start crosses its end.
     out: list[float] = []
     t0 = 0.0
@@ -51,60 +52,63 @@ def _schedule_oracle(segments, rng: np.random.Generator) -> list[float]:
 
 class TestPoisson:
     def test_mean_gap_within_3_sigma_low_rate(self):
-        s = gen_poisson(0.1, 100000.0, seed=7)
+        s = PoissonTraffic(0.1).arrivals(100000.0, seed=7)
         gaps = _gaps(s)
         # exponential: mean 10, var 100
         bound = 3.0 * 10.0 / math.sqrt(len(gaps))
         assert abs(float(gaps.mean()) - 10.0) < bound
 
     def test_mean_gap_within_3_sigma_high_rate(self):
-        s = gen_poisson(0.9, 100000.0, seed=7)
+        s = PoissonTraffic(0.9).arrivals(100000.0, seed=7)
         gaps = _gaps(s)
         mean = 1.0 / 0.9
         bound = 3.0 * mean / math.sqrt(len(gaps))
         assert abs(float(gaps.mean()) - mean) < bound
 
     def test_seeded_determinism(self):
-        assert gen_poisson(0.3, 50000.0, 42) == gen_poisson(0.3, 50000.0, 42)
-        assert gen_poisson(0.3, 50000.0, 42) != gen_poisson(0.3, 50000.0, 43)
+        p = PoissonTraffic(0.3)
+        assert p.arrivals(50000.0, 42) == p.arrivals(50000.0, 42)
+        assert p.arrivals(50000.0, 42) != p.arrivals(50000.0, 43)
 
     def test_all_within_horizon(self):
-        s = gen_poisson(0.5, 20000.0, 3)
+        s = PoissonTraffic(0.5).arrivals(20000.0, 3)
         assert s.arrivals[-1] <= s.horizon == 20000.0
 
-    @pytest.mark.parametrize("rate,horizon", [(0, 1000), (-1, 1000), (1, 0)])
+    @pytest.mark.parametrize("rate,horizon", [(0, 1000), (-1, 1000), (1, 0),
+                                              (1, math.inf)])
     def test_argument_errors(self, rate, horizon):
         with pytest.raises(ValueError):
-            gen_poisson(rate, horizon, 1)
+            PoissonTraffic(rate).arrivals(horizon, 1)
 
 
 class TestPareto:
     def test_minimum_gap_is_scale(self):
         # inverse transform: every gap >= x_m = (shape-1)/(shape*rate)
-        s = gen_pareto(0.2, 1.5, 100000.0, seed=5)
+        s = ParetoTraffic(0.2, 1.5).arrivals(100000.0, seed=5)
         x_m = 0.5 / (1.5 * 0.2)
         assert x_m == pytest.approx(5.0 / 3.0)
         assert float(_gaps(s).min()) >= x_m
 
     def test_mean_gap_matches_rate(self):
         # heavy tail converges slowly; 10% on a 100 s stream
-        s = gen_pareto(0.2, 1.5, 100000.0, seed=5)
+        s = ParetoTraffic(0.2, 1.5).arrivals(100000.0, seed=5)
         assert float(_gaps(s).mean()) == pytest.approx(5.0, rel=0.10)
 
     def test_infinite_mean_rejected(self):
         with pytest.raises(ValueError):
-            gen_pareto(0.2, 1.0, 1000.0, 1)
+            ParetoTraffic(0.2, 1.0).arrivals(1000.0, 1)
         with pytest.raises(ValueError):
-            gen_pareto(0.2, 0.8, 1000.0, 1)
+            ParetoTraffic(0.2, 0.8).arrivals(1000.0, 1)
 
     def test_seeded_determinism(self):
-        assert gen_pareto(0.4, 1.5, 30000.0, 9) == gen_pareto(0.4, 1.5, 30000.0, 9)
+        p = ParetoTraffic(0.4, 1.5)
+        assert p.arrivals(30000.0, 9) == p.arrivals(30000.0, 9)
 
 
 class TestSchedule:
     def test_segment_rates(self):
-        segs = ((50000.0, 0.1), (50000.0, 0.4))
-        s = gen_schedule(segs, seed=11)
+        sched = ScheduleTraffic(((50000.0, 0.1), (50000.0, 0.4)))
+        s = sched.arrivals(sched.total_duration, seed=11)
         assert s.horizon == 100000.0
         arr = np.asarray(s.arrivals)
         n1 = int((arr < 50000.0).sum())
@@ -125,7 +129,8 @@ class TestSchedule:
             want_rng = np.random.default_rng(seed)
             want = _schedule_oracle(segs, want_rng)
             got_rng = np.random.default_rng(seed)
-            got = gen_schedule(segs, got_rng)
+            sched = ScheduleTraffic(tuple(segs))
+            got = sched.arrivals(sched.total_duration, got_rng)
             assert got.arrivals.tolist() == want, (seed, segs)
             assert got.horizon == sum(d for d, _ in segs)
             assert got_rng.random() == want_rng.random(), (seed, segs)
@@ -135,9 +140,41 @@ class TestSchedule:
 
     def test_bad_segments(self):
         with pytest.raises(ValueError):
-            gen_schedule([(0.0, 0.1)], 1)
+            ScheduleTraffic(((0.0, 0.1),)).arrivals(100.0, 1)
         with pytest.raises(ValueError):
-            gen_schedule([(100.0, -0.1)], 1)
+            ScheduleTraffic(((100.0, -0.1),)).arrivals(100.0, 1)
+
+
+class TestTrafficKinds:
+    """Each kind checks its numbers once, when it is built."""
+
+    @pytest.mark.parametrize("kind, args, message", [
+        (PoissonTraffic, (0.0,), "rate must be finite and > 0"),
+        (PoissonTraffic, (-1.0,), "rate must be finite and > 0"),
+        (PoissonTraffic, (math.inf,), "rate must be finite and > 0"),
+        (ParetoTraffic, (-0.1, 1.5), "rate must be finite and > 0"),
+        (ParetoTraffic, (0.1, 0.5), "shape must be finite and > 1"),
+        (ParetoTraffic, (0.1, 1.0), "shape must be finite and > 1"),
+        (ParetoTraffic, (0.1, math.inf), "shape must be finite and > 1"),
+        (ScheduleTraffic, (((0.0, 0.1),),),
+         "segment duration must be finite and > 0"),
+        (ScheduleTraffic, (((math.nan, 0.1),),),
+         "segment duration must be finite and > 0"),
+        (ScheduleTraffic, (((1000.0, -0.1),),),
+         "segment rate must be finite and > 0"),
+    ], ids=["poisson_zero", "poisson_negative", "poisson_inf", "pareto_rate",
+            "pareto_shape_below_one", "pareto_shape_one", "pareto_shape_inf",
+            "schedule_zero_duration", "schedule_nan_duration",
+            "schedule_negative_rate"])
+    def test_constructor_rejects(self, kind, args, message):
+        with pytest.raises(ValueError, match=message):
+            kind(*args)
+
+    def test_trace_reads_its_file(self, tmp_path):
+        path = tmp_path / "t.trace"
+        path.write_text("1.0\n2.5,60\n")
+        stream = TraceTraffic(str(path)).arrivals(100.0, 1)
+        assert stream == load_trace("1.0\n2.5\n")
 
 
 class TestTrace:
@@ -184,9 +221,10 @@ class TestTrace:
         # The text format carries no horizon beyond the last timestamp, so
         # the identity is exact on trace-born streams; for generated ones
         # the arrivals round-trip and the horizon tightens to the last one.
-        born = load_trace(serialize_trace(gen_poisson(0.2, 5000.0, 13)))
+        born = load_trace(serialize_trace(
+            PoissonTraffic(0.2).arrivals(5000.0, 13)))
         assert load_trace(serialize_trace(born)) == born
-        s = gen_pareto(0.2, 1.5, 5000.0, 13)
+        s = ParetoTraffic(0.2, 1.5).arrivals(5000.0, 13)
         assert (load_trace(serialize_trace(s)).arrivals.tolist()
                 == s.arrivals.tolist())
 
