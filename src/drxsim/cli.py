@@ -28,12 +28,14 @@ a whole study can be archived and reproduced byte-for-byte.  Example:
 
 The [drx] and [run] sections may be omitted entirely (the defaults above
 apply).  Traffic kinds: ``poisson`` and ``pareto`` sweep over ``rates``
-(pareto also needs ``shape``), ``trace`` replays a recorded arrival file,
+(pareto also needs ``shape``), ``trace`` replays a recorded arrival file
+(a relative path is taken from the working directory, not the spec's),
 ``schedule`` drives a piecewise-constant rate given as ``duration:rate``
 segments and reports one row per segment plus a whole-run row, whose rate
 is the mean over the segments the run covered (a horizon shorter than the
-schedule cuts it).  ``seeds`` needs at least two distinct values >= 0, and
-each ``adaptive`` pair a threshold cap ``w_max / psf`` of at least 1.
+schedule cuts it); each kind reports its own rows (``kind.report``).
+``seeds`` needs at least two distinct values >= 0, and each ``adaptive``
+pair a threshold cap ``w_max / psf`` of at least 1.
 Numbers must be finite: ``nan`` and ``inf`` are rejected, as are unknown
 sections and keys.  Every error names the key at fault and its line (a
 missing key has no line, a bad section header no key).
@@ -46,7 +48,6 @@ import concurrent.futures
 import csv
 import io
 import math
-import os
 import sys
 from dataclasses import dataclass, fields, replace
 from itertools import repeat
@@ -58,10 +59,11 @@ from .engine import Scenario, replicate, run_detailed, slice_stats, summarize
 from .traffic import (
     ParetoTraffic,
     PoissonTraffic,
+    Report,
     ScheduleTraffic,
     TraceTraffic,
     TrafficKind,
-    _running_sum,
+    _check_above,
 )
 
 # Every key of each section, with the text it reads as when absent; a key
@@ -233,12 +235,9 @@ def parse_spec(text: str) -> ExperimentSpec:
         DrxConfig, **{key: item.integer() if key == "n_short"
                       else item.number() for key, item in drx.items()})
 
-    horizon = run["horizon"].number()
-    if horizon <= 0:
-        raise run["horizon"].error("horizon must be > 0")
-    psf = run["psf"].number()
-    if psf <= 0:
-        raise run["psf"].error("psf must be > 0")
+    horizon, psf = run["horizon"].number(), run["psf"].number()
+    for key, value in (("horizon", horizon), ("psf", psf)):
+        run[key].build(_check_above, key, value, 0.0)
     item = run["seeds"]
     seeds = tuple(item.integer(w) for w in item.words())
     if len(seeds) < 2:
@@ -298,24 +297,12 @@ def parse_spec(text: str) -> ExperimentSpec:
     )
 
 
-def _point_rows(spec: ExperimentSpec, policy: Policy,
-                traffic: TrafficKind) -> list[ResultRow]:
-    """The rows of one grid point: one per schedule segment, then the run's.
-
-    Only schedules keep each run's result, which their segment windows
-    read through ``slice_stats``; other traffic keeps the metrics alone.
-    """
-    horizon = spec.horizon
-    windows: list[tuple[float, float, float]] = []  # (start, end, rate)
-    if isinstance(traffic, ScheduleTraffic):
-        horizon = min(horizon, traffic.total_duration)
-        start = 0.0
-        for dur, rate in traffic.segments:
-            end = min(start + dur, horizon)
-            if end <= start:
-                break
-            windows.append((start, end, rate))
-            start = end
+def _point_rows(spec: ExperimentSpec, policy: Policy, traffic: TrafficKind,
+                report: Report) -> list[ResultRow]:
+    """The rows of one grid point: one per window its traffic reports (the
+    last ends the run), then the whole run's."""
+    label, overall_rate, windows = report
+    horizon = windows[-1][1] if windows else spec.horizon
     scenario = Scenario(spec.cfg, policy, traffic, horizon, spec.psf)
     if windows:
         results = [run_detailed(scenario, s) for s in spec.seeds]
@@ -338,42 +325,29 @@ def _point_rows(spec: ExperimentSpec, policy: Policy,
     rows = [row(f"schedule[{i}]:{start / 1000.0:g}-{end / 1000.0:g}s", rate,
                 [slice_stats(r, spec.cfg, start, end)[:3] for r in results])
             for i, (start, end, rate) in enumerate(windows)]
-    if isinstance(traffic, PoissonTraffic):
-        scenario_id, rate = "poisson", traffic.rate
-    elif isinstance(traffic, ParetoTraffic):
-        scenario_id, rate = f"pareto({traffic.shape!r})", traffic.rate
-    elif isinstance(traffic, TraceTraffic):
-        scenario_id = f"trace:{os.path.basename(traffic.path)}"
-        rate = metrics[0].arrivals / horizon  # empirical
-    else:  # the mean rate over the windows the run covered
-        scenario_id = "schedule:overall"
-        rate = _running_sum(0.0, [(e - s) * r for s, e, r in windows]) / horizon
-    rows.append(row(scenario_id, rate, [
+    rows.append(row(label, overall_rate, [
         (m.mean_delay, m.sleep_fraction, m.mean_q_w) for m in metrics]))
     return rows
 
 
-def _check_traces(spec: ExperimentSpec) -> None:
-    for t in spec.traffic:
-        if isinstance(t, TraceTraffic) and not os.path.exists(t.path):
-            raise FileNotFoundError(f"trace file not found: {t.path}")
+def _reports(spec: ExperimentSpec) -> list[Report]:
+    return [t.report(spec.horizon) for t in spec.traffic]
 
 
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[ResultRow]:
     """Execute the full sweep and return one row per grid point (in grid order).
 
-    Schedules produce one row per segment plus a whole-run row per policy.
-    A missing trace file fails here, before any run starts.
+    A missing or malformed trace file fails here, before any run starts.
     """
-    _check_traces(spec)
-    policies, traffics = zip(*[(p, t) for p in spec.policies
-                               for t in spec.traffic])
-    if jobs <= 1 or len(policies) <= 1:
-        results = map(_point_rows, repeat(spec), policies, traffics)
+    reported = list(zip(spec.traffic, _reports(spec)))
+    points = [(p, t, r) for p in spec.policies for t, r in reported]
+    policies, traffics, reports = zip(*points)
+    if jobs <= 1 or len(points) <= 1:
+        results = map(_point_rows, repeat(spec), policies, traffics, reports)
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_point_rows, repeat(spec), policies,
-                                    traffics))
+                                    traffics, reports))
     return [row for rows in results for row in rows]
 
 
@@ -431,7 +405,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     with open(args.spec, "r", encoding="utf-8") as fh:
         spec = parse_spec(fh.read())
-    _check_traces(spec)
+    _reports(spec)
     points = len(spec.policies) * len(spec.traffic)
     print(f"OK: {points} grid points x {len(spec.seeds)} seeds")
     return 0

@@ -2,7 +2,8 @@
 
 Each traffic kind is a frozen value type that checks its parameters once,
 when it is built (every number finite, rates and durations > 0, a Pareto
-shape > 1), and draws its own stream: ``kind.arrivals(horizon, seed)``.
+shape > 1), draws its own stream, ``kind.arrivals(horizon, seed)``, and
+reports the rows of its grid point, ``kind.report(horizon)``.
 Draws are pure functions of (parameters, seed) backed by numpy's PCG64
 generator, so identical inputs always reproduce identical streams, across
 platforms.  The Pareto sampler uses plain inverse-transform sampling on the
@@ -10,22 +11,21 @@ generator's 64-bit uniforms (``gap = x_m * (1 - U) ** (-1/shape)``), kept
 explicit here rather than through ``numpy.random.pareto`` so the draw count
 per gap is pinned to one and streams stay stable across numpy versions.
 
-A stream holds its arrivals as a read-only float64 ndarray, checked once in
-vectorised form (``check_arrivals``, which ``engine.simulate`` shares for
-other inputs; a stream it is given is not checked again).  A kind hands
-its freshly drawn array over without a copy.
-Gaps are drawn in blocks.  A schedule must leave the generator exactly
-where one draw per gap would, because the next segment draws on from
-there: it draws a block, finds the first arrival past the segment end,
-rewinds the generator to the saved state and redraws exactly the gaps the
-segment consumes.  The arrival instants are running sums from the segment
-start (``np.cumsum`` adds in order, like a scalar loop).
+A stream's arrivals are checked once, in vectorised form
+(``check_arrivals``, which ``engine.simulate`` shares for other inputs).
+Gaps are drawn in blocks.  A schedule must leave the generator exactly where
+one draw per gap would, because the next segment draws on from there: it
+draws a block, finds the first arrival past the segment end, rewinds the
+generator to the saved state and redraws exactly the gaps the segment
+consumes.  The arrival instants are running sums from the segment start
+(``np.cumsum`` adds in order, like a scalar loop).
 """
 
 from __future__ import annotations
 
 import io
 import math
+import os
 from dataclasses import dataclass
 from typing import IO, Sequence
 
@@ -64,30 +64,25 @@ class ArrivalStream:
 
     ``arrivals`` may be given as any sequence of floats; the stream keeps a
     read-only float64 ndarray copy of it.  A read-only float64 array that
-    owns its data (as the traffic kinds draw) is kept without a copy.
+    owns its data (as the traffic kinds draw) is kept without a copy.  The
+    run that reads it drops the arrivals at or after its horizon.
     """
 
     arrivals: np.ndarray
-    horizon: float
 
     def __post_init__(self) -> None:
-        if self.horizon < 0:
-            raise ValueError(f"horizon must be >= 0, got {self.horizon}")
         arr = self.arrivals
         if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64
                 and arr.flags.owndata and not arr.flags.writeable):
             arr = np.array(arr, dtype=np.float64)
         check_arrivals(arr)
-        if arr.size and arr[-1] > self.horizon:
-            raise ValueError(f"arrival {arr[-1]} beyond horizon {self.horizon}")
         arr.flags.writeable = False
         object.__setattr__(self, "arrivals", arr)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ArrivalStream):
             return NotImplemented
-        return (self.horizon == other.horizon
-                and np.array_equal(self.arrivals, other.arrivals))
+        return np.array_equal(self.arrivals, other.arrivals)
 
     def __len__(self) -> int:
         return len(self.arrivals)
@@ -112,6 +107,11 @@ def _fresh(parts: list[np.ndarray]) -> np.ndarray:
     return arr
 
 
+# ``kind.report``: the whole-run row's label and rate, and the windows
+# (start, end, rate) that get rows of their own.
+Report = tuple[str, float, list[tuple[float, float, float]]]
+
+
 def _accumulate_gaps(seed: int, draw, rate: float,
                      horizon: float) -> ArrivalStream:
     # A renewal stream: gaps drawn in chunks until they pass the horizon.
@@ -125,7 +125,7 @@ def _accumulate_gaps(seed: int, draw, rate: float,
         cut = int(np.searchsorted(ts, horizon, side="right"))
         parts.append(ts[:cut])
         if cut < len(ts):
-            return ArrivalStream(_fresh(parts), horizon)
+            return ArrivalStream(_fresh(parts))
         t = float(ts[-1])
         chunk = max(chunk // 4, 64)
 
@@ -143,6 +143,9 @@ class PoissonTraffic:
         scale = 1.0 / self.rate
         return _accumulate_gaps(seed, lambda r, n: r.exponential(scale, n),
                                 self.rate, horizon)
+
+    def report(self, horizon: float) -> Report:
+        return "poisson", self.rate, []
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,6 +173,9 @@ class ParetoTraffic:
 
         return _accumulate_gaps(seed, draw, self.rate, horizon)
 
+    def report(self, horizon: float) -> Report:
+        return f"pareto({self.shape!r})", self.rate, []
+
 
 @dataclass(frozen=True, slots=True)
 class TraceTraffic:
@@ -179,8 +185,17 @@ class TraceTraffic:
     path: str
 
     def arrivals(self, horizon: float, seed: int) -> ArrivalStream:
+        if not os.path.exists(self.path):
+            raise FileNotFoundError(f"trace file not found: {self.path}")
         with open(self.path, "rb") as fh:
             return load_trace(fh)
+
+    def report(self, horizon: float) -> Report:
+        """The rate is the file's arrivals before ``horizon`` per ms."""
+        _check_above("horizon", horizon, 0.0)
+        n = np.searchsorted(self.arrivals(horizon, 0).arrivals, horizon,
+                            side="left")
+        return f"trace:{os.path.basename(self.path)}", int(n) / horizon, []
 
 
 @dataclass(frozen=True, slots=True)
@@ -201,19 +216,14 @@ class ScheduleTraffic:
             _check_above("segment duration", dur, 0.0)
             _check_above("segment rate", rate, 0.0)
 
-    @property
-    def total_duration(self) -> float:
-        return _running_sum(0.0, [d for d, _ in self.segments])
-
     def arrivals(self, horizon: float,
                  seed: int | np.random.Generator) -> ArrivalStream:
         """The whole schedule's stream, whatever ``horizon``.
 
         A segment consumes one draw per arrival plus the draw that crosses
         its end, as a one-gap-at-a-time loop would, so the streams do not
-        depend on the block size.  ``seed`` may also be a
-        ``numpy.random.Generator``, which is then drawn from (and left
-        where that loop would leave it).
+        depend on the block size.  ``seed`` may also be a generator, which
+        is then drawn from (and left where that loop would leave it).
         """
         rng = np.random.default_rng(seed)
         parts: list[np.ndarray] = []
@@ -234,7 +244,25 @@ class ScheduleTraffic:
                     break
                 t = float(ts[-1])
             t0 = end
-        return ArrivalStream(_fresh(parts), t0)
+        return ArrivalStream(_fresh(parts))
+
+    def report(self, horizon: float) -> Report:
+        """One window per segment before ``horizon``, the last ending the
+        run, and their mean rate.  A segment shorter than the float spacing
+        at its start adds no time and gets no window."""
+        _check_above("horizon", horizon, 0.0)
+        windows = []
+        start = 0.0
+        for dur, rate in self.segments:
+            if start >= horizon:
+                break
+            end = min(start + dur, horizon)
+            if end > start:
+                windows.append((start, end, rate))
+                start = end
+        end = windows[-1][1]
+        rate = _running_sum(0.0, [(e - s) * r for s, e, r in windows]) / end
+        return "schedule:overall", rate, windows
 
 
 TrafficKind = PoissonTraffic | ParetoTraffic | TraceTraffic | ScheduleTraffic
@@ -247,8 +275,7 @@ def load_trace(source: str | bytes | IO) -> ArrivalStream:
     ``,size_bytes``.  Lines starting with ``#`` and blank lines are skipped.
     Timestamps are decimal milliseconds and must be nondecreasing.  The size
     column is accepted and ignored (service is one PSF per packet regardless).
-    The stream horizon is the last timestamp; empty input gives an empty
-    stream with horizon 0.
+    Empty input gives an empty stream.
     """
     if isinstance(source, bytes):
         text = source.decode("utf-8")
@@ -290,5 +317,4 @@ def load_trace(source: str | bytes | IO) -> ArrivalStream:
             )
         arrivals.append(ts)
         prev = ts
-    horizon = arrivals[-1] if arrivals else 0.0
-    return ArrivalStream(arrivals, horizon)
+    return ArrivalStream(arrivals)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import io
+import operator
 import os
 import subprocess
 import sys
@@ -30,6 +32,7 @@ standard = on
 """
 
 POLICIES = "\n[policies]\nstandard = on\n"
+PARETO = "[traffic]\nkind = pareto\n"
 
 FULL = """
 [drx]
@@ -151,7 +154,8 @@ class TestParsing:
         spec = parse_spec(text)
         (schedule,) = spec.traffic
         assert schedule.segments == ((1000.0, 0.1), (2000.0, 0.4))
-        assert schedule.total_duration == 3000.0
+        assert functools.reduce(operator.add,
+                                (d for d, _ in schedule.segments)) == 3000.0
 
     def test_malformed_segment(self):
         text = ("[traffic]\nkind = schedule\nsegments = 1000-0.1\n"
@@ -178,13 +182,17 @@ class TestParsing:
         assert err.value.key == "adaptive"
         assert err.value.line == text.count("\n")
 
-    @pytest.mark.parametrize("values, key, line", [
-        ("rates = 0.1 -0.2\nshape = 1.5", "rates", 3),
-        ("rates = 0.1 0\nshape = 1.5", "rates", 3),
-        ("rates = 0.1\nshape = 0.5", "shape", 4),
-    ], ids=["negative_rate", "zero_rate", "shape"])
-    def test_traffic_range_error_names_key(self, values, key, line):
-        text = f"[traffic]\nkind = pareto\n{values}\n" + POLICIES
+    @pytest.mark.parametrize("text, key, line", [
+        (PARETO + "rates = 0.1 -0.2\nshape = 1.5\n" + POLICIES, "rates", 3),
+        (PARETO + "rates = 0.1 0\nshape = 1.5\n" + POLICIES, "rates", 3),
+        (PARETO + "rates = 0.1\nshape = 0.5\n" + POLICIES, "shape", 4),
+        ("[run]\nhorizon = 0\n" + MINIMAL, "horizon", 2),
+        ("[run]\nhorizon = -1\n" + MINIMAL, "horizon", 2),
+        ("[run]\npsf = 0\n" + MINIMAL, "psf", 2),
+    ], ids=["negative_rate", "zero_rate", "shape", "horizon_zero",
+            "horizon_negative", "psf_zero"])
+    def test_traffic_range_error_names_key(self, text, key, line):
+        # [run] numbers share the traffic kinds' range rule and wording.
         with pytest.raises(SpecError, match="must be finite and >") as err:
             parse_spec(text)
         assert (err.value.key, err.value.line) == (key, line)
@@ -337,6 +345,14 @@ class TestMain:
                            "[policies]\nstandard = on\n")
         assert main(["validate", path]) == 2
         assert "trace file not found" in capsys.readouterr().err
+
+    def test_validate_malformed_trace(self, tmp_path, capsys):
+        # validate reads the trace, so it fails where run would.
+        trace = self._write(tmp_path, "1.0\n0.5\n", "bad.trace")
+        path = self._write(tmp_path, f"[traffic]\nkind = trace\n"
+                           f"trace = {trace}\n\n[policies]\nstandard = on\n")
+        assert main(["validate", path]) == 2
+        assert "line 2" in capsys.readouterr().err
 
     def test_run_writes_csv(self, tmp_path):
         out = str(tmp_path / "r.csv")
