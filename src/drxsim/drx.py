@@ -5,7 +5,7 @@ concurrent simulation instances.
 
 Timeline convention: a DRX cycle of length L consists of a low-power period
 of ``L - t_on`` followed by an on-duration of ``t_on`` that closes the cycle.
-The engine resolves this geometry arithmetically (``engine._CycleGeometry``);
+The engine resolves this geometry arithmetically (``engine.simulate``);
 the test suite checks it against an event-by-event UE state machine.
 """
 

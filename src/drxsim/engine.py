@@ -4,9 +4,11 @@ One run is strictly sequential and deterministic for a given (scenario,
 seed).  The event loop is organised around the structure of the system
 rather than a generic calendar: packets are served in FIFO order with a
 deterministic one-PSF service, so active periods collapse to a Lindley
-recursion, and DRX phases are resolved arithmetically from the cycle
-geometry.  The test suite checks the result against a slow reference that
-steps an explicit UE state machine one event at a time.
+recursion, and a DRX stretch's release instant is computed inline, from
+the cycle that holds the instant its threshold fills.  The test suite
+checks the result against a slow reference that steps an explicit UE
+state machine one event at a time, and against ``drx_reference``'s
+per-packet Lindley run and its ``release_at``, bit for bit.
 
 An active stretch is served by a scalar loop for its first
 ``_SCALAR_HEAD`` packets and, if still open, from the run's no-DRX
@@ -20,7 +22,8 @@ misses the countdown), one lookup.  A backlog before that is served at
 j*psf))``, one numpy pass per chunk checked against the recursion, which
 finishes a chunk where they differ (rarely at ``psf = 1``).  Delay sums
 add in packet order, so results are bit-identical to a per-packet loop's
-for any ``psf``.  Short stretches stay per packet.
+for any ``psf``.  Short stretches stay per packet; an ``inf`` sentinel
+after the last arrival ends the scalar loop without an index test.
 
 Every run returns one ``RunResult``: the metrics, each served packet's
 arrival and transmission start, and each DRX stretch as its enable instant
@@ -34,10 +37,9 @@ sleep total is summed once after the loop, from an elementwise form of
 the cycle geometry (``_CycleGeometry.sleep_in``) added in stretch order;
 each term, and so the total, is bit-identical to a per-stretch scalar
 walk.  Every float sum here is in order (``_running_sum``), never
-Python's ``sum``, which is compensated from CPython 3.12 on.
-
-The EMA arrival-rate estimate the adaptive controller reads is computed
-here too (``_lambda_hat_series``).
+Python's ``sum``, which is compensated from CPython 3.12 on.  The EMA
+arrival-rate estimate the adaptive controller reads is computed here too
+(``_lambda_hat_series``).
 
 Timing conventions (all ms, continuous time):
 
@@ -168,22 +170,6 @@ class _CycleGeometry:
         self.t_s = cfg.t_short
         self.t_l = cfg.t_long
         self.short_span = cfg.n_short * cfg.t_short
-
-    def _cycle_at(self, phi: float) -> tuple[float, float]:
-        # (cycle start offset, cycle length) containing offset phi >= 0.
-        if phi < self.short_span:
-            k = int(phi / self.t_s)
-            return k * self.t_s, self.t_s
-        k = int((phi - self.short_span) / self.t_l)
-        return self.short_span + k * self.t_l, self.t_l
-
-    def release_at(self, t0: float, t_q: float) -> float:
-        """Transmission start for a threshold filled at ``t_q`` (>= t0)."""
-        phi = t_q - t0
-        ck, clen = self._cycle_at(phi)
-        if phi - ck >= clen - self.t_on:
-            return t_q  # UE already listening
-        return t0 + ck + clen - self.t_on  # next window start
 
     def sleep_in(self, t0: np.ndarray, t_end: np.ndarray | float) -> np.ndarray:
         """Low-power time in [t0, t_end) of DRX stretches enabled at t0.
@@ -327,7 +313,8 @@ def simulate(arrivals: Sequence[float] | np.ndarray | tr.ArrivalStream,
     A = A_arr.tolist()
     n = len(A)
     geo = _CycleGeometry(cfg)
-    t_in = cfg.t_in
+    t_in, t_on, t_s, t_l, short_span = (cfg.t_in, geo.t_on, geo.t_s, geo.t_l,
+                                        geo.short_span)
 
     adaptive = policy.kind is PolicyKind.ADAPTIVE_COALESCING
     if adaptive:
@@ -335,6 +322,8 @@ def simulate(arrivals: Sequence[float] | np.ndarray | tr.ArrivalStream,
         state = ctrl.initial_state(policy.w_star, q_max)
         lam_hat = _lambda_hat_series(A, 2.0 * policy.w_max)
     q_w = state.q_w if adaptive else policy.q_w
+    q_less = math.ceil(q_w) - 1  # a release waits for packet i + q_less
+    A.append(math.inf)  # the sentinel: no arrival after the last
 
     # The scalar loop appends starts to ``tx``; an array from the no-DRX
     # schedule closes it.  RunResult joins the parts if ``tx_starts`` is read.
@@ -344,10 +333,12 @@ def simulate(arrivals: Sequence[float] | np.ndarray | tr.ArrivalStream,
     thresholds: list[float] = []
     stretch_ends: list[float] = []
     per_cycle: list[tuple[float | None, float]] = []
+    tx_add, bound_add, thresh_add, end_add, cycle_add = (
+        tx.append, boundaries.append, thresholds.append, stretch_ends.append,
+        per_cycle.append)
 
-    delay_sum = 0.0
-    c_dsum = 0.0
-    c_cnt = 0
+    delay_sum = c_dsum = 0.0
+    c_first = 0  # the first packet of the current cycle
     free = 0.0
     i = 0
     done = False
@@ -355,64 +346,74 @@ def simulate(arrivals: Sequence[float] | np.ndarray | tr.ArrivalStream,
 
     while not done:
         expiry = free + t_in
-        if not (i < n and A[i] <= expiry):
+        if A[i] > expiry:
             # Queue empty and no arrival inside the countdown: DRX next.
             if expiry >= horizon:
                 break
-            t0 = expiry
-            w_hat = c_dsum / c_cnt if c_cnt else None
-            per_cycle.append((w_hat, q_w))
-            if adaptive and w_hat is not None and i > 0 and lam_hat[i - 1] > 0.0:
+            w_hat = c_dsum / (i - c_first) if i > c_first else None
+            cycle_add((w_hat, q_w))
+            if adaptive and i > c_first and lam_hat[i - 1] > 0.0:
                 state = ctrl.update_threshold(state, lam_hat[i - 1], w_hat)
                 q_w = state.q_w
-            boundaries.append(t0)
-            thresholds.append(q_w)
+                q_less = math.ceil(q_w) - 1
+            bound_add(expiry)
+            thresh_add(q_w)
             c_dsum = 0.0
-            c_cnt = 0
-            j = i + math.ceil(q_w) - 1
-            if j >= n:
-                end = horizon
-            else:
-                rel = geo.release_at(t0, A[j])
-                end = rel if rel < horizon else horizon
-            stretch_ends.append(end)
+            c_first = i
+            j = i + q_less
+            end = horizon
+            if j < n:
+                # Packet j fills the threshold at offset phi, in the cycle
+                # that starts at offset ck and is clen long (t_on listening).
+                end = A[j]
+                phi = end - expiry
+                if phi < short_span:
+                    ck = int(phi / t_s) * t_s
+                    clen = t_s
+                else:
+                    ck = short_span + int((phi - short_span) / t_l) * t_l
+                    clen = t_l
+                if phi - ck < clen - t_on:  # asleep: wait for the window
+                    end = expiry + ck + clen - t_on
             if end >= horizon:
+                end_add(horizon)
                 break
+            end_add(end)
             free = end
         # Active: drain the backlog, then serve any arrival that lands
         # before the countdown runs out. Each service re-arms the countdown.
         # The scalar loop serves up to _SCALAR_HEAD packets; the no-DRX
-        # schedule serves the rest of a stretch still open then.
-        stop = min(i + _SCALAR_HEAD, n)
+        # schedule serves the rest of a stretch still open then.  Past the
+        # last arrival the sentinel ends the stretch, so a loop that runs
+        # out has more packets behind it.
+        stop = i + _SCALAR_HEAD
         while i < stop:
             a = A[i]
             s = a if a > free else free
             if s >= horizon:
                 done = True
                 break
-            tx.append(s)
+            tx_add(s)
             d = s - a
             delay_sum += d
             c_dsum += d
-            c_cnt += 1
             free = s + psf
             i += 1
-            if i < n and A[i] > free + t_in:
+            if A[i] > free + t_in:
                 break
         else:
-            if stop < n:
-                if G is None:
-                    G, breaks = _no_drx_schedule(A_arr, psf, t_in)
-                starts, free, done = _serve_from_schedule(
-                    A_arr, G, breaks, i, free, psf, t_in, horizon)
-                m = i + len(starts)
-                d = starts - A_arr[i:m]
-                delay_sum = _running_sum(delay_sum, d)
-                c_dsum = _running_sum(c_dsum, d)
-                c_cnt += len(starts)
-                tx_parts += (tx, starts)
-                tx = []
-                i = m
+            if G is None:
+                G, breaks = _no_drx_schedule(A_arr, psf, t_in)
+            starts, free, done = _serve_from_schedule(
+                A_arr, G, breaks, i, free, psf, t_in, horizon)
+            m = i + len(starts)
+            d = starts - A_arr[i:m]
+            delay_sum = _running_sum(delay_sum, d)
+            c_dsum = _running_sum(c_dsum, d)
+            tx_parts += (tx, starts)
+            tx = []
+            tx_add = tx.append
+            i = m
     tx_parts.append(tx)
 
     # Every packet before i was served, and none after.

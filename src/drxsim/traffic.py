@@ -23,6 +23,7 @@ consumes.  The arrival instants are running sums from the segment start
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import os
@@ -179,16 +180,18 @@ class ParetoTraffic:
 
 @dataclass(frozen=True, slots=True)
 class TraceTraffic:
-    """A recorded arrival file, read by ``load_trace`` at each draw; the
-    stream spans the file, whatever ``horizon`` and ``seed``."""
+    """A recorded arrival file, parsed once per version (path, mtime, size)
+    and shared by the runs; the stream spans it, whatever horizon and seed."""
 
     path: str
 
     def arrivals(self, horizon: float, seed: int) -> ArrivalStream:
-        if not os.path.exists(self.path):
-            raise FileNotFoundError(f"trace file not found: {self.path}")
-        with open(self.path, "rb") as fh:
-            return load_trace(fh)
+        try:
+            st = os.stat(self.path)
+        except OSError:
+            raise FileNotFoundError(
+                f"trace file not found: {self.path}") from None
+        return _read_trace(self.path, st.st_mtime_ns, st.st_size)
 
     def report(self, horizon: float) -> Report:
         """The rate is the file's arrivals before ``horizon`` per ms."""
@@ -266,6 +269,12 @@ class ScheduleTraffic:
 
 
 TrafficKind = PoissonTraffic | ParetoTraffic | TraceTraffic | ScheduleTraffic
+
+
+@functools.lru_cache(maxsize=8)
+def _read_trace(path: str, mtime_ns: int, size: int) -> ArrivalStream:
+    with open(path, "rb") as fh:
+        return load_trace(fh)
 
 
 def load_trace(source: str | bytes | IO) -> ArrivalStream:

@@ -8,6 +8,9 @@ the queue drains, and ``reference_run`` drives both through a queue one
 event at a time.  ``tests/test_differential.py`` compares the two.
 ``sleep_between`` is the scalar walk of one stretch's cycle layout that the
 engine's elementwise ``_CycleGeometry.sleep_in`` must reproduce bit for bit.
+``release_at`` finds a stretch's release instant by the cycle containing the
+instant its threshold fills (``cycle_at``); the engine inlines the same
+expressions in its loop.
 ``lindley_run`` serves every packet with the plain Lindley recursion, one
 Python step each; the engine, which serves long active stretches from the
 run's no-DRX schedule, must reproduce it bit for bit.
@@ -267,6 +270,26 @@ def sleep_between(cfg: DrxConfig, t0: float, t_end: float) -> float:
     return sleep
 
 
+def cycle_at(cfg: DrxConfig, phi: float) -> tuple[float, float]:
+    """(start offset, length) of the cycle holding offset ``phi >= 0``."""
+    short_span = cfg.n_short * cfg.t_short
+    if phi < short_span:
+        k = int(phi / cfg.t_short)
+        return k * cfg.t_short, cfg.t_short
+    k = int((phi - short_span) / cfg.t_long)
+    return short_span + k * cfg.t_long, cfg.t_long
+
+
+def release_at(cfg: DrxConfig, t0: float, t_q: float) -> float:
+    """Transmission start of a stretch enabled at ``t0`` whose threshold
+    fills at ``t_q >= t0``."""
+    phi = t_q - t0
+    ck, clen = cycle_at(cfg, phi)
+    if phi - ck >= clen - cfg.t_on:
+        return t_q  # UE already listening
+    return t0 + ck + clen - cfg.t_on  # next window start
+
+
 def lindley_run(arrivals: Sequence[float], cfg: DrxConfig, policy: Policy,
                 horizon: float, psf: float = 1.0) -> engine.RunResult:
     """The engine's run, serving every packet one step at a time.
@@ -277,7 +300,6 @@ def lindley_run(arrivals: Sequence[float], cfg: DrxConfig, policy: Policy,
     """
     A = [float(a) for a in arrivals if a < horizon]
     n = len(A)
-    geo = engine._CycleGeometry(cfg)
     adaptive = policy.kind is PolicyKind.ADAPTIVE_COALESCING
     if adaptive:
         state = ctrl.initial_state(
@@ -311,7 +333,7 @@ def lindley_run(arrivals: Sequence[float], cfg: DrxConfig, policy: Policy,
             c_dsum = 0.0
             c_cnt = 0
             j = i + math.ceil(q_w) - 1
-            end = horizon if j >= n else min(geo.release_at(expiry, A[j]), horizon)
+            end = horizon if j >= n else min(release_at(cfg, expiry, A[j]), horizon)
             ends.append(end)
             if end >= horizon:
                 break

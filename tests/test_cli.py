@@ -11,6 +11,7 @@ import sys
 
 import pytest
 
+from drxsim import engine, traffic
 from drxsim.cli import (
     CSV_COLUMNS,
     SpecError,
@@ -262,6 +263,21 @@ class TestRunExperiment:
         with pytest.raises(FileNotFoundError):
             run_experiment(parse_spec(text))
 
+    def test_trace_parsed_once_per_sweep(self, tmp_path, monkeypatch):
+        # fig8's shape: one trace under three policies, several seeds.
+        trace = tmp_path / "t.trace"
+        trace.write_text("".join(f"{7.5 * k}\n" for k in range(400)))
+        spec = parse_spec(f"[run]\nhorizon = 3000\nseeds = 1 2 3\n\n"
+                          f"[traffic]\nkind = trace\ntrace = {trace}\n\n"
+                          "[policies]\nstandard = on\n"
+                          "adaptive = 64:128 512:1024\n")
+        parses = []
+        real = traffic.load_trace
+        monkeypatch.setattr(traffic, "load_trace",
+                            lambda fh: parses.append(fh) or real(fh))
+        assert len(run_experiment(spec)) == 3
+        assert len(parses) == 1
+
     def test_parallel_jobs_match_serial(self):
         schedule = ("[run]\nhorizon = 3000\nseeds = 1 2\n\n[traffic]\n"
                     "kind = schedule\nsegments = 1500:0.2 1500:0.5\n\n"
@@ -353,6 +369,26 @@ class TestMain:
                            f"trace = {trace}\n\n[policies]\nstandard = on\n")
         assert main(["validate", path]) == 2
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("content, message", [
+        (None, "trace file not found"), ("1.0\n0.5\n", "line 2")],
+        ids=["missing", "malformed"])
+    def test_bad_trace_fails_before_any_run(self, tmp_path, capsys,
+                                            monkeypatch, command, content,
+                                            message):
+        trace = tmp_path / "t.trace"
+        if content is not None:
+            trace.write_text(content)
+        path = self._write(tmp_path, f"[traffic]\nkind = trace\n"
+                           f"trace = {trace}\n\n[policies]\nstandard = on\n")
+        runs = []
+        monkeypatch.setattr(engine, "simulate",
+                            lambda *args, **kw: runs.append(args))
+        for _ in range(2):  # a failed read is not cached
+            assert main([command, path]) == 2
+            assert message in capsys.readouterr().err
+        assert runs == []
 
     def test_run_writes_csv(self, tmp_path):
         out = str(tmp_path / "r.csv")

@@ -16,11 +16,12 @@ adaptive policy has no reference here; ``test_engine_invariants`` checks
 the simulator's invariants on the same draws under all three policies.
 ``test_array_path_matches_scalar`` checks that serving long active
 stretches from the run's no-DRX schedule changes no bit of any result
-against the per-packet ``drx_reference.lindley_run``; the schedule tests
-check that schedule against its recursion and its premise, that no packet
-starts before its no-DRX start.  ``test_sleep_in_matches_scalar_walk``
-checks that the elementwise sleep layout matches the scalar walk bit for
-bit.
+against the per-packet ``drx_reference.lindley_run``, and
+``test_sweep_sized_streams_match_scalar`` does so on the 20 s streams a
+sweep draws; the schedule tests check that schedule against its
+recursion and its premise, that no packet starts before its no-DRX
+start.  ``test_sleep_in_matches_scalar_walk`` checks that the elementwise
+sleep layout matches the scalar walk bit for bit.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from drx_reference import lindley_run, reference_run, sleep_between
 from drxsim import engine
 from drxsim.drx import DrxConfig, Policy
 from drxsim.engine import make_arrivals, simulate
-from drxsim.traffic import PoissonTraffic
+from drxsim.traffic import ParetoTraffic, PoissonTraffic
 
 TOL = 1e-9
 HORIZON = 1000.0
@@ -199,11 +200,50 @@ def _bits_of(r):
 @example(arrivals=[20.0, 20.5, 21.0, 21.5, 22.0, 22.5, 50.0, 100.0],
          cfg=DrxConfig(10, 2, 32, 32), policy=Policy.fixed(4), psf=1.0,
          head=1)
+# The threshold fills at 31.3, the start of the first window of a stretch
+# enabled at 1.3: it is released then, not at 1.3 + 32 - 2, which rounds
+# to 31.299999999999997.
+@example(arrivals=[0.0, 20.0, 31.3], cfg=DrxConfig(0.3, 2, 32, 32),
+         policy=Policy.fixed(2), psf=1.0, head=4)
+# DRX is enabled at 11 in the next two; the threshold fills at 43, the
+# start of the second cycle (held until its window, 73), ...
+@example(arrivals=[0.0, 20.0, 43.0], cfg=DrxConfig(10, 2, 32, 32),
+         policy=Policy.fixed(2), psf=1.0, head=4)
+# ... and at 35, where three 8 ms short cycles give way to the long ones.
+@example(arrivals=[0.0, 20.0, 35.0], cfg=DrxConfig(10, 2, 8, 32, 3),
+         policy=Policy.fixed(2), psf=1.0, head=4)
+# The scalar loop serves its whole head, the last arrival included, and
+# the sentinel ends the stretch; the next stretch's threshold is the
+# arrival one past the last.
+@example(arrivals=[0.0, 0.5, 1.0], cfg=DrxConfig(10, 2, 32, 32),
+         policy=Policy.standard(), psf=1.0, head=3)
+# The horizon stops the scalar loop: packet 3 would start at 1000.
+@example(arrivals=[997.0, 998.0, 999.0, 999.5],
+         cfg=DrxConfig(1000, 2, 32, 32), policy=Policy.standard(), psf=1.0,
+         head=4)
 def test_array_path_matches_scalar(arrivals, cfg, policy, psf, head):
     want = _bits_of(lindley_run(arrivals, cfg, policy, HORIZON, psf))
     with mock.patch.object(engine, "_SCALAR_HEAD", head):
         got = simulate(arrivals, cfg, policy, HORIZON, psf)
     assert _bits_of(got) == want
+
+
+@pytest.mark.parametrize("psf", [1.0, 0.7])
+@pytest.mark.parametrize("cfg", [DrxConfig(10, 2, 32, 32),
+                                 DrxConfig(10, 2, 8, 32, 3)],
+                         ids=["n_short0", "n_short3"])
+@pytest.mark.parametrize("traffic", [
+    PoissonTraffic(0.05), PoissonTraffic(0.2), ParetoTraffic(0.3, 1.5)],
+    ids=["poisson0.05", "poisson0.2", "pareto1.5"])
+def test_sweep_sized_streams_match_scalar(traffic, cfg, psf):
+    # Up to 6,175 arrivals and 365 DRX stretches per run.
+    horizon = 20000.0
+    stream = make_arrivals(traffic, horizon, 1)
+    for policy in (Policy.standard(), Policy.fixed(2), Policy.fixed(8),
+                   Policy.adaptive(64, 128)):
+        want = lindley_run(stream.arrivals, cfg, policy, horizon, psf)
+        got = simulate(stream, cfg, policy, horizon, psf)
+        assert _bits_of(got) == _bits_of(want), policy
 
 
 def _recursion(A, psf):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import os
 
 import numpy as np
 import pytest
@@ -214,6 +215,34 @@ class TestTrafficKinds:
         path.write_text("1.0\n2.5,60\n")
         stream = TraceTraffic(str(path)).arrivals(100.0, 1)
         assert stream == load_trace("1.0\n2.5\n")
+
+    def test_trace_parsed_once_per_file_version(self, tmp_path):
+        # Runs share one stream until the file's size or mtime changes.
+        path = tmp_path / "t.trace"
+        path.write_text("1.0\n2.0\n")
+        trace = TraceTraffic(str(path))
+        first = trace.arrivals(100.0, 1)
+        assert trace.arrivals(50.0, 2) is first
+        st = path.stat()
+
+        def rewrite(text, mtime_ns):
+            path.write_text(text)
+            os.utime(path, ns=(st.st_atime_ns, mtime_ns))
+            return trace.arrivals(100.0, 1).arrivals.tolist()
+
+        later = st.st_mtime_ns + 10**9
+        assert rewrite("1.5\n2.0\n", later) == [1.5, 2.0]  # same size
+        assert rewrite("1.5\n2.0\n3.0\n", later) == [1.5, 2.0, 3.0]
+        # Errors are not cached: a malformed or deleted file fails each time.
+        path.write_text("2.0\n1.0\n")
+        for _ in range(2):
+            with pytest.raises(TraceFormatError, match="line 2"):
+                trace.arrivals(100.0, 1)
+        path.unlink()
+        for _ in range(2):
+            with pytest.raises(FileNotFoundError,
+                               match="trace file not found: "):
+                trace.arrivals(100.0, 1)
 
 
 class TestTrace:
