@@ -36,10 +36,12 @@ loop, arrays from the schedule) until ``tx_starts`` is first read.  The
 sleep total is summed once after the loop, from an elementwise form of
 the cycle geometry (``_CycleGeometry.sleep_in``) added in stretch order;
 each term, and so the total, is bit-identical to a per-stretch scalar
-walk.  Every float sum here is in order (``_running_sum``), never
-Python's ``sum``, which is compensated from CPython 3.12 on.  The EMA
-arrival-rate estimate the adaptive controller reads is computed here too
-(``_lambda_hat_series``).
+walk.  Every sum over one run (delay, sleep, threshold means, and the
+same in ``slice_stats``) is in order (``_running_sum``), never Python's
+``sum``, which is compensated from CPython 3.12 on; only
+``confidence_interval`` uses numpy's pairwise ``mean`` and ``std``.  The
+EMA arrival-rate estimate the adaptive controller reads is computed here
+too (``_lambda_hat_series``).
 
 Timing conventions (all ms, continuous time):
 
@@ -299,16 +301,14 @@ def simulate(arrivals: Sequence[float] | np.ndarray | tr.ArrivalStream,
     ``arrivals`` must be finite and nondecreasing from 0 (``ValueError``
     otherwise); those at or after the horizon are dropped.  An
     ``ArrivalStream`` was checked when it was built and is used as is; any
-    other sequence is copied and checked here.
+    other sequence is made into one here, which checks it (and copies it,
+    unless it is a read-only float64 array that owns its data).
     """
     _check_above("horizon", horizon, 0.0)
     _check_above("psf", psf, 0.0)
-    if isinstance(arrivals, tr.ArrivalStream):
-        A_arr = arrivals.arrivals
-    else:
-        A_arr = np.array(arrivals, dtype=np.float64)
-        tr.check_arrivals(A_arr)
-        A_arr.flags.writeable = False
+    if not isinstance(arrivals, tr.ArrivalStream):
+        arrivals = tr.ArrivalStream(arrivals)
+    A_arr = arrivals.arrivals
     A_arr = A_arr[:int(np.searchsorted(A_arr, horizon, side="left"))]
     A = A_arr.tolist()
     n = len(A)

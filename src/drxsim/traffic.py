@@ -11,24 +11,24 @@ generator's 64-bit uniforms (``gap = x_m * (1 - U) ** (-1/shape)``), kept
 explicit here rather than through ``numpy.random.pareto`` so the draw count
 per gap is pinned to one and streams stay stable across numpy versions.
 
-A stream's arrivals are checked once, in vectorised form
-(``check_arrivals``, which ``engine.simulate`` shares for other inputs).
-Gaps are drawn in blocks.  A schedule must leave the generator exactly where
-one draw per gap would, because the next segment draws on from there: it
-draws a block, finds the first arrival past the segment end, rewinds the
-generator to the saved state and redraws exactly the gaps the segment
-consumes.  The arrival instants are running sums from the segment start
-(``np.cumsum`` adds in order, like a scalar loop).
+A stream's arrivals are checked once, in vectorised form, when its
+``ArrivalStream`` is built (``check_arrivals``); ``engine.simulate``
+builds one for any other input.  Poisson, Pareto and schedule streams
+come from one renewal drawer (``_renewal``): it draws base variates in
+blocks and uses them in order, one per gap, and each arrival instant is
+the in-order running sum of the gaps from its segment's start
+(``np.cumsum`` adds in order, like a scalar loop).  So a stream does not
+depend on the block size or the horizon: drawn to a later horizon, it
+starts with the same instants.
 """
 
 from __future__ import annotations
 
 import functools
-import io
 import math
 import os
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -101,34 +101,40 @@ def _check_above(name: str, value: float, low: float) -> None:
         raise ValueError(f"{name} must be finite and > {low:g}, got {value}")
 
 
-def _fresh(parts: list[np.ndarray]) -> np.ndarray:
-    # A new read-only array, for ArrivalStream to keep without a copy.
-    arr = np.concatenate(parts) if parts else np.empty(0)
-    arr.flags.writeable = False
-    return arr
-
-
 # ``kind.report``: the whole-run row's label and rate, and the windows
 # (start, end, rate) that get rows of their own.
 Report = tuple[str, float, list[tuple[float, float, float]]]
 
 
-def _accumulate_gaps(seed: int, draw, rate: float,
-                     horizon: float) -> ArrivalStream:
-    # A renewal stream: gaps drawn in chunks until they pass the horizon.
-    _check_above("horizon", horizon, 0.0)
-    rng = np.random.default_rng(seed)
+def _renewal(draw, segments) -> ArrivalStream:
+    # A renewal stream over consecutive segments (end, rate, gaps), the
+    # first starting at 0.  ``draw(n)`` gives n base variates; ``gaps``
+    # turns them into gaps.  A segment's arrivals are the running sums of
+    # its gaps from its start, before its end; the draw that crosses the
+    # end is spent, and the next segment goes on from the one after it.
     parts: list[np.ndarray] = []
+    pool = np.empty(0)
     t = 0.0
-    chunk = max(int(rate * horizon * 1.05) + 16, 64)
-    while True:
-        ts = t + np.cumsum(draw(rng, chunk))
-        cut = int(np.searchsorted(ts, horizon, side="right"))
-        parts.append(ts[:cut])
-        if cut < len(ts):
-            return ArrivalStream(_fresh(parts))
-        t = float(ts[-1])
-        chunk = max(chunk // 4, 64)
+    for end, rate, gaps in segments:
+        while True:
+            if not len(pool):
+                pool = draw(int(rate * (end - t) * 1.05) + 16)
+            ts = gaps(pool)
+            ts[0] += t
+            np.cumsum(ts, out=ts)
+            cut = int(np.searchsorted(ts, end, side="left"))
+            parts.append(ts[:cut])
+            pool = pool[cut + 1:]
+            if cut < len(ts):
+                break
+            t = float(ts[-1])
+        t = end
+    # Free the last block before the copy below: kept live, it makes glibc
+    # map fresh pages for the copy (about 100 page faults per dense draw).
+    del pool
+    arr = np.concatenate(parts)  # new and read-only: kept without a copy
+    arr.flags.writeable = False
+    return ArrivalStream(arr)
 
 
 @dataclass(frozen=True, slots=True)
@@ -141,9 +147,10 @@ class PoissonTraffic:
         _check_above("rate", self.rate, 0.0)
 
     def arrivals(self, horizon: float, seed: int) -> ArrivalStream:
-        scale = 1.0 / self.rate
-        return _accumulate_gaps(seed, lambda r, n: r.exponential(scale, n),
-                                self.rate, horizon)
+        _check_above("horizon", horizon, 0.0)
+        gaps = functools.partial(np.multiply, 1.0 / self.rate)
+        return _renewal(np.random.default_rng(seed).standard_exponential,
+                        [(horizon, self.rate, gaps)])
 
     def report(self, horizon: float) -> Report:
         return "poisson", self.rate, []
@@ -165,14 +172,16 @@ class ParetoTraffic:
         _check_above("shape", self.shape, 1.0)
 
     def arrivals(self, horizon: float, seed: int) -> ArrivalStream:
+        _check_above("horizon", horizon, 0.0)
         x_m = (self.shape - 1.0) / (self.shape * self.rate)
         inv = -1.0 / self.shape
 
-        def draw(r: np.random.Generator, n: int) -> np.ndarray:
+        def gaps(u: np.ndarray) -> np.ndarray:
             # 1 - U is in (0, 1], so the power stays finite.
-            return x_m * (1.0 - r.random(n)) ** inv
+            return x_m * (1.0 - u) ** inv
 
-        return _accumulate_gaps(seed, draw, self.rate, horizon)
+        return _renewal(np.random.default_rng(seed).random,
+                        [(horizon, self.rate, gaps)])
 
     def report(self, horizon: float) -> Report:
         return f"pareto({self.shape!r})", self.rate, []
@@ -219,35 +228,16 @@ class ScheduleTraffic:
             _check_above("segment duration", dur, 0.0)
             _check_above("segment rate", rate, 0.0)
 
-    def arrivals(self, horizon: float,
-                 seed: int | np.random.Generator) -> ArrivalStream:
-        """The whole schedule's stream, whatever ``horizon``.
-
-        A segment consumes one draw per arrival plus the draw that crosses
-        its end, as a one-gap-at-a-time loop would, so the streams do not
-        depend on the block size.  ``seed`` may also be a generator, which
-        is then drawn from (and left where that loop would leave it).
-        """
-        rng = np.random.default_rng(seed)
-        parts: list[np.ndarray] = []
-        t0 = 0.0
+    def arrivals(self, horizon: float, seed: int) -> ArrivalStream:
+        """The whole schedule's stream, whatever ``horizon``."""
+        segments = []
+        end = 0.0
         for dur, rate in self.segments:
-            end = t0 + dur
-            scale = 1.0 / rate
-            t = t0
-            while True:
-                saved = rng.bit_generator.state
-                k = int(rate * (end - t) * 1.05) + 16
-                ts = np.cumsum(np.concatenate(([t], rng.exponential(scale, k))))[1:]
-                cut = int(np.searchsorted(ts, end, side="left"))
-                parts.append(ts[:cut])
-                if cut < k:
-                    rng.bit_generator.state = saved
-                    rng.exponential(scale, cut + 1)
-                    break
-                t = float(ts[-1])
-            t0 = end
-        return ArrivalStream(_fresh(parts))
+            end += dur
+            segments.append((end, rate, functools.partial(np.multiply,
+                                                          1.0 / rate)))
+        return _renewal(np.random.default_rng(seed).standard_exponential,
+                        segments)
 
     def report(self, horizon: float) -> Report:
         """One window per segment before ``horizon``, the last ending the
@@ -273,12 +263,12 @@ TrafficKind = PoissonTraffic | ParetoTraffic | TraceTraffic | ScheduleTraffic
 
 @functools.lru_cache(maxsize=8)
 def _read_trace(path: str, mtime_ns: int, size: int) -> ArrivalStream:
-    with open(path, "rb") as fh:
-        return load_trace(fh)
+    with open(path, encoding="utf-8") as fh:
+        return load_trace(fh.read())
 
 
-def load_trace(source: str | bytes | IO) -> ArrivalStream:
-    """Parse a plain-text arrival trace.
+def load_trace(text: str) -> ArrivalStream:
+    """Parse the text of an arrival trace.
 
     One arrival per line: ``timestamp_ms`` optionally followed by
     ``,size_bytes``.  Lines starting with ``#`` and blank lines are skipped.
@@ -286,17 +276,9 @@ def load_trace(source: str | bytes | IO) -> ArrivalStream:
     column is accepted and ignored (service is one PSF per packet regardless).
     Empty input gives an empty stream.
     """
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source
-    else:
-        raw = source.read()
-        text = raw.decode("utf-8") if isinstance(raw, bytes) else raw
-
     arrivals: list[float] = []
     prev = 0.0
-    for lineno, line in enumerate(io.StringIO(text), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drxsim.engine import _lambda_hat_series
@@ -127,8 +127,7 @@ class TestSchedule:
         assert abs(n2 - 20000) < 3.0 * math.sqrt(20000)
 
     def test_matches_one_draw_oracle(self):
-        # Block draws with a rewind must give the one-at-a-time arrivals
-        # and leave the generator where the oracle leaves it.  Short
+        # Block draws must give the one-at-a-time arrivals.  Short
         # segments at low rates draw no arrival at all.
         picker = np.random.default_rng(2024)
         empty = 0
@@ -136,13 +135,10 @@ class TestSchedule:
             segs = [(float(picker.choice([0.3, 4.0, 100.0, 5000.0])),
                      float(picker.choice([0.002, 0.05, 0.4, 3.0])))
                     for _ in range(int(picker.integers(1, 6)))]
-            want_rng = np.random.default_rng(seed)
-            want = _schedule_oracle(segs, want_rng)
-            got_rng = np.random.default_rng(seed)
+            want = _schedule_oracle(segs, np.random.default_rng(seed))
             sched = ScheduleTraffic(tuple(segs))
-            got = sched.arrivals(_in_order_sum(d for d, _ in segs), got_rng)
+            got = sched.arrivals(_in_order_sum(d for d, _ in segs), seed)
             assert got.arrivals.tolist() == want, (seed, segs)
-            assert got_rng.random() == want_rng.random(), (seed, segs)
             edges = np.cumsum([0.0] + [d for d, _ in segs])
             empty += int((np.diff(np.searchsorted(want, edges)) == 0).sum())
         assert empty > 100
@@ -176,6 +172,35 @@ class TestSchedule:
             ScheduleTraffic(((0.0, 0.1),)).arrivals(100.0, 1)
         with pytest.raises(ValueError):
             ScheduleTraffic(((100.0, -0.1),)).arrivals(100.0, 1)
+
+
+class TestRenewalStreams:
+    """Poisson, Pareto and schedule streams share one in-order drawer."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(pareto=st.booleans(), rate=st.floats(0.01, 3.0),
+           horizon=st.floats(1.0, 5000.0), seed=st.integers(0, 2**32 - 1))
+    @example(pareto=False, rate=0.9, horizon=200.0, seed=22)
+    @example(pareto=True, rate=0.3, horizon=2000.0, seed=1)
+    def test_longer_horizon_keeps_the_prefix(self, pareto, rate, horizon,
+                                             seed):
+        # Drawn to 4H and cut at H, a stream is the stream drawn to H.
+        kind = ParetoTraffic(rate, 1.5) if pareto else PoissonTraffic(rate)
+        long = kind.arrivals(4.0 * horizon, seed).arrivals
+        want = kind.arrivals(horizon, seed).arrivals
+        assert long[long < horizon].tolist() == want.tolist()
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(rate=st.floats(0.01, 3.0), horizon=st.floats(1.0, 10000.0),
+           seed=st.integers(0, 2**32 - 1))
+    @example(rate=0.5, horizon=1000.0, seed=2)
+    @example(rate=2.0, horizon=100.0, seed=22)
+    def test_poisson_is_a_one_segment_schedule(self, rate, horizon, seed):
+        got = PoissonTraffic(rate).arrivals(horizon, seed).arrivals
+        want = ScheduleTraffic(((horizon, rate),)).arrivals(horizon, seed)
+        assert got.tobytes() == want.arrivals.tobytes()
 
 
 class TestTrafficKinds:
@@ -276,13 +301,14 @@ class TestTrace:
         with pytest.raises(TraceFormatError):
             load_trace("1.0,2,3\n")
 
-    def test_bytes_and_file_objects(self, tmp_path):
+    def test_file_read_as_utf8_text(self, tmp_path):
+        # A trace file is UTF-8 whatever the locale; CRLF ends lines too.
         path = tmp_path / "t.trace"
-        path.write_text("1.0\n2.0\n")
-        with open(path, "rb") as fh:
-            s = load_trace(fh)
-        assert s.arrivals.tolist() == [1.0, 2.0]
-        assert load_trace(b"1.0\n2.0\n") == s
+        path.write_bytes("# caf\u00e9\r\n1.0\r\n2.0\r\n".encode("utf-8"))
+        with pytest.raises(TraceFormatError, match="line 3"):
+            load_trace("# caf\u00e9\n1.0\nx\n")
+        assert TraceTraffic(str(path)).arrivals(100.0, 1) == load_trace(
+            "1.0\n2.0\n")
 
     def test_roundtrip_identity(self):
         # ``repr`` round-trips every float, so the identity is exact.
