@@ -55,7 +55,7 @@ from itertools import repeat
 from . import analytic
 from . import controller as ctrl
 from .drx import DrxConfig, Policy, PolicyKind
-from .engine import Scenario, replicate, run_detailed, slice_stats, summarize
+from .engine import Scenario, run_detailed, slice_stats, summarize
 from .traffic import (
     ParetoTraffic,
     PoissonTraffic,
@@ -300,33 +300,36 @@ def parse_spec(text: str) -> ExperimentSpec:
 def _point_rows(spec: ExperimentSpec, policy: Policy, traffic: TrafficKind,
                 report: Report) -> list[ResultRow]:
     """The rows of one grid point: one per window its traffic reports (the
-    last ends the run), then the whole run's."""
+    last ends the run), then the whole run's.  Each seed's run is read for
+    every row before the next seed runs."""
     label, overall_rate, windows = report
     horizon = windows[-1][1] if windows else spec.horizon
     scenario = Scenario(spec.cfg, policy, traffic, horizon, spec.psf)
-    if windows:
-        results = [run_detailed(scenario, s) for s in spec.seeds]
-        metrics = [r.metrics for r in results]
-    else:
-        metrics = replicate(scenario, spec.seeds)
-    saturated = any(m.saturated for m in metrics)
+
+    # Per-seed (delay, sleep, q_w) of each row: the windows', then the run's.
+    per_row: list[list[tuple]] = [[] for _ in range(len(windows) + 1)]
+    saturated = False
+    for seed in spec.seeds:
+        result = run_detailed(scenario, seed)
+        for out, (start, end, _) in zip(per_row, windows):
+            out.append(slice_stats(result, spec.cfg, start, end)[:3])
+        m = result.metrics
+        per_row[-1].append((m.mean_delay, m.sleep_fraction, m.mean_q_w))
+        saturated = saturated or m.saturated
+        del result  # one run's output at a time: not alive during the next
     q_col = (None if policy.kind is PolicyKind.ADAPTIVE_COALESCING
              else policy.q_w)
-
-    def row(scenario_id: str, rate: float,
-            per_seed: list[tuple[float, float, float]]) -> ResultRow:
+    heads = [(f"schedule[{i}]:{start / 1000.0:g}-{end / 1000.0:g}s", rate)
+             for i, (start, end, rate) in enumerate(windows)]
+    heads.append((label, overall_rate))
+    rows = []
+    for (scenario_id, rate), per_seed in zip(heads, per_row):
         delay, sleep, qw = summarize(per_seed, spec.confidence)
-        return ResultRow(
+        rows.append(ResultRow(
             scenario_id, policy.kind.value, rate, q_col, policy.w_star,
             delay.mean, delay.ci_half_width, sleep.mean, sleep.ci_half_width,
             qw.mean, qw.ci_half_width, saturated,
-        )
-
-    rows = [row(f"schedule[{i}]:{start / 1000.0:g}-{end / 1000.0:g}s", rate,
-                [slice_stats(r, spec.cfg, start, end)[:3] for r in results])
-            for i, (start, end, rate) in enumerate(windows)]
-    rows.append(row(label, overall_rate, [
-        (m.mean_delay, m.sleep_fraction, m.mean_q_w) for m in metrics]))
+        ))
     return rows
 
 
@@ -382,6 +385,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.seeds < 2:
             raise SpecError("--seeds must be >= 2")
         spec = replace(spec, seeds=tuple(range(1, args.seeds + 1)))
+    if args.jobs < 1:
+        raise SpecError("--jobs must be >= 1")
     rows = run_experiment(spec, jobs=args.jobs)
     for row in rows:
         if math.isnan(row.mean_delay_ms):

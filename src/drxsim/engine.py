@@ -34,14 +34,14 @@ arrivals are a view of the checked input array, and the transmission
 starts stay in the segments the loop produced (lists from the scalar
 loop, arrays from the schedule) until ``tx_starts`` is first read.  The
 sleep total is summed once after the loop, from an elementwise form of
-the cycle geometry (``_CycleGeometry.sleep_in``) added in stretch order;
-each term, and so the total, is bit-identical to a per-stretch scalar
-walk.  Every sum over one run (delay, sleep, threshold means, and the
-same in ``slice_stats``) is in order (``_running_sum``), never Python's
-``sum``, which is compensated from CPython 3.12 on; only
-``confidence_interval`` uses numpy's pairwise ``mean`` and ``std``.  The
-EMA arrival-rate estimate the adaptive controller reads is computed here
-too (``_lambda_hat_series``).
+the cycle geometry (``_sleep_in``) added in stretch order; each term, and
+so the total, is bit-identical to a per-stretch scalar walk.  Every sum
+over one run (delay, sleep, threshold means, and the same in
+``slice_stats``) is in order (``_running_sum``), never Python's ``sum``,
+which is compensated from CPython 3.12 on; only ``confidence_interval``
+uses numpy's pairwise ``mean`` and ``std``.  The EMA arrival-rate
+estimate the adaptive controller reads is computed here too
+(``_lambda_hat_series``).
 
 Timing conventions (all ms, continuous time):
 
@@ -157,43 +157,33 @@ class RunResult:
                 and np.array_equal(self.tx_starts, other.tx_starts))
 
 
-class _CycleGeometry:
-    """Arithmetic over the two-phase cycle layout of one DRX stretch.
+def _sleep_in(cfg: DrxConfig, t0: np.ndarray, t_end: np.ndarray | float
+              ) -> np.ndarray:
+    """Low-power time in [t0, t_end) of DRX stretches enabled at t0.
 
     Offsets are measured from the enable instant.  Cycle k (k completed
     cycles so far) occupies [C_k, C_{k+1}) with the on-duration closing it:
     sleep on [C_k, C_{k+1} - t_on), listen on [C_{k+1} - t_on, C_{k+1}).
+    Elementwise, with a scalar walk's operations in its order (short phase,
+    long phase's whole cycles, its remainder), so each entry is
+    bit-identical to that walk.  A span <= 0 sleeps 0.
     """
-
-    __slots__ = ("t_on", "t_s", "t_l", "short_span")
-
-    def __init__(self, cfg: DrxConfig):
-        self.t_on = cfg.t_on
-        self.t_s = cfg.t_short
-        self.t_l = cfg.t_long
-        self.short_span = cfg.n_short * cfg.t_short
-
-    def sleep_in(self, t0: np.ndarray, t_end: np.ndarray | float) -> np.ndarray:
-        """Low-power time in [t0, t_end) of DRX stretches enabled at t0.
-
-        Elementwise, with a scalar walk's operations in its order (short
-        phase, long phase's whole cycles, its remainder), so each entry is
-        bit-identical to that walk.  A span <= 0 sleeps 0.
-        """
-        span = np.subtract(t_end, t0)
-        sleep = np.zeros_like(span)
-        rest = span
-        if self.short_span > 0.0:
-            part = np.minimum(span, self.short_span)
-            full = np.floor(part / self.t_s)
-            sleep = (full * (self.t_s - self.t_on)
-                     + np.minimum(part - full * self.t_s, self.t_s - self.t_on))
-            rest = span - self.short_span
-        full = np.floor(rest / self.t_l)
-        long_ = ((sleep + full * (self.t_l - self.t_on))
-                 + np.minimum(rest - full * self.t_l, self.t_l - self.t_on))
-        sleep = np.where(rest > 0.0, long_, sleep)
-        return np.where(span > 0.0, sleep, 0.0)
+    t_on, t_s, t_l = cfg.t_on, cfg.t_short, cfg.t_long
+    short_span = cfg.n_short * t_s
+    span = np.subtract(t_end, t0)
+    sleep = np.zeros_like(span)
+    rest = span
+    if short_span > 0.0:
+        part = np.minimum(span, short_span)
+        full = np.floor(part / t_s)
+        sleep = (full * (t_s - t_on)
+                 + np.minimum(part - full * t_s, t_s - t_on))
+        rest = span - short_span
+    full = np.floor(rest / t_l)
+    long_ = ((sleep + full * (t_l - t_on))
+             + np.minimum(rest - full * t_l, t_l - t_on))
+    sleep = np.where(rest > 0.0, long_, sleep)
+    return np.where(span > 0.0, sleep, 0.0)
 
 
 def _lambda_hat_series(arrivals: Sequence[float], k_ema: float) -> list[float]:
@@ -312,9 +302,8 @@ def simulate(arrivals: Sequence[float] | np.ndarray | tr.ArrivalStream,
     A_arr = A_arr[:int(np.searchsorted(A_arr, horizon, side="left"))]
     A = A_arr.tolist()
     n = len(A)
-    geo = _CycleGeometry(cfg)
-    t_in, t_on, t_s, t_l, short_span = (cfg.t_in, geo.t_on, geo.t_s, geo.t_l,
-                                        geo.short_span)
+    t_in, t_on, t_s, t_l = cfg.t_in, cfg.t_on, cfg.t_short, cfg.t_long
+    short_span = cfg.n_short * t_s
 
     adaptive = policy.kind is PolicyKind.ADAPTIVE_COALESCING
     if adaptive:
@@ -418,7 +407,7 @@ def simulate(arrivals: Sequence[float] | np.ndarray | tr.ArrivalStream,
 
     # Every packet before i was served, and none after.
     served = i
-    sleep = geo.sleep_in(np.array(boundaries), np.array(stretch_ends))
+    sleep = _sleep_in(cfg, np.array(boundaries), np.array(stretch_ends))
     mean_delay = delay_sum / served if served else math.nan
     mean_q_w = (_running_sum(0.0, thresholds) / len(thresholds)
                 if thresholds else q_w)
@@ -456,9 +445,7 @@ def run_detailed(scenario: Scenario, seed: int) -> RunResult:
 
 def run(scenario: Scenario, seed: int) -> Metrics:
     """One deterministic run; see the module docstring for the semantics."""
-    stream = make_arrivals(scenario.traffic, scenario.horizon, seed)
-    return simulate(stream, scenario.cfg, scenario.policy,
-                    scenario.horizon, scenario.psf).metrics
+    return run_detailed(scenario, seed).metrics
 
 
 def confidence_interval(samples: Sequence[float], level: float) -> SummaryStats:
@@ -587,17 +574,13 @@ def summarize(per_seed: Sequence[tuple[float, float, float]], level: float
             confidence_interval(q_w, level))
 
 
-def replicate(scenario: Scenario, seeds: Sequence[int]) -> list[Metrics]:
-    return [run(scenario, s) for s in seeds]
-
-
 def run_replicated(
     scenario: Scenario, seeds: Sequence[int], level: float = 0.95
 ) -> tuple[SummaryStats, SummaryStats, SummaryStats]:
     """Replicated runs summarised as (mean delay, sleep fraction, mean q_w)."""
     if len(seeds) < 2:
         raise ValueError(f"need at least 2 seeds, got {len(seeds)}")
-    ms = replicate(scenario, seeds)
+    ms = [run(scenario, s) for s in seeds]
     return summarize([(m.mean_delay, m.sleep_fraction, m.mean_q_w)
                       for m in ms], level)
 
@@ -608,7 +591,12 @@ def slice_stats(result: RunResult, cfg: DrxConfig, start: float, end: float
 
     Packets are assigned to the window by transmission start; ``cfg`` is
     the DRX configuration the run used, which lays out each stretch's sleep.
+    The window must satisfy ``0 <= start < end < inf`` (``ValueError``
+    otherwise).
     """
+    if not (0.0 <= start < end < math.inf):
+        raise ValueError(f"window start {start!r} and end {end!r} must "
+                         "satisfy 0 <= start < end < inf")
     tx = result.tx_starts
     lo = int(np.searchsorted(tx, start, side="left"))
     hi = int(np.searchsorted(tx, end, side="left"))
@@ -617,8 +605,8 @@ def slice_stats(result: RunResult, cfg: DrxConfig, start: float, end: float
     last = bisect_left(result.boundaries, end)
     t0 = np.array(result.boundaries[first:last])
     t_end = np.minimum(np.array(result.stretch_ends[first:last]), end)
-    geo = _CycleGeometry(cfg)
-    sleep = _running_sum(0.0, geo.sleep_in(t0, t_end) - geo.sleep_in(t0, start))
+    sleep = _running_sum(0.0,
+                         _sleep_in(cfg, t0, t_end) - _sleep_in(cfg, t0, start))
     qs = result.thresholds[bisect_left(result.boundaries, start):last]
     mean_delay = (_running_sum(0.0, tx[lo:hi] - result.arrivals[lo:hi]) / served
                   if served else math.nan)

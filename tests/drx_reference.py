@@ -7,7 +7,7 @@ timer or release event, ``enter_countdown`` arms the inactivity timer when
 the queue drains, and ``reference_run`` drives both through a queue one
 event at a time.  ``tests/test_differential.py`` compares the two.
 ``sleep_between`` is the scalar walk of one stretch's cycle layout that the
-engine's elementwise ``_CycleGeometry.sleep_in`` must reproduce bit for bit.
+engine's elementwise ``_sleep_in`` must reproduce bit for bit.
 ``release_at`` finds a stretch's release instant by the cycle containing the
 instant its threshold fills (``cycle_at``); the engine inlines the same
 expressions in its loop.

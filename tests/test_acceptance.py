@@ -73,7 +73,7 @@ from drxsim.drx import DrxConfig, Policy
 from drxsim.engine import (
     Scenario,
     confidence_interval,
-    replicate,
+    run,
     run_detailed,
     slice_stats,
 )
@@ -101,7 +101,7 @@ def _mean(xs):
 def test_c01_model_vs_simulation(lam, q_w):
     model = mean_wait_poisson(lam, 1.0, 0.0, q_w, CFG)
     sc = Scenario(CFG, Policy.fixed(q_w), PoissonTraffic(lam), H)
-    sim = _mean([m.mean_delay for m in replicate(sc, SEEDS)])
+    sim = _mean([run(sc, s).mean_delay for s in SEEDS])
     tol = max(0.10 * abs(model), 2.0)
     assert abs(sim - model) < tol, (
         f"rate {lam}, threshold {q_w}: simulated {sim:.3f} ms vs "
@@ -141,7 +141,7 @@ def test_c02_degenerate_equivalence():
 def test_c03_md1_oracle(lam):
     cfg = DrxConfig(t_in=1e6, t_on=2, t_short=32, t_long=32)
     sc = Scenario(cfg, Policy.fixed(1), PoissonTraffic(lam), H)
-    metrics = replicate(sc, SEEDS)
+    metrics = [run(sc, s) for s in SEEDS]
     assert all(m.sleep_fraction == 0.0 for m in metrics)
     sim = _mean([m.mean_delay for m in metrics])
     assert sim == pytest.approx(md1_wait(lam, 1.0), rel=0.03)
@@ -178,8 +178,8 @@ def test_c04_adaptive_tracking(w_star, lam):
     """
     w_max = 2 * w_star
     q_max = w_max  # s_max is one 1 ms sub-frame
-    pinned = replicate(Scenario(CFG, Policy.fixed(q_max), PoissonTraffic(lam), H),
-                       SEEDS)
+    pinned_sc = Scenario(CFG, Policy.fixed(q_max), PoissonTraffic(lam), H)
+    pinned = [run(pinned_sc, s) for s in SEEDS]
     at_cap = _mean([m.mean_delay for m in pinned])
     cap_bound = (w_star, lam) in _CAP_BOUND
     assert (at_cap < 1.15 * w_star) == cap_bound, (
@@ -188,7 +188,7 @@ def test_c04_adaptive_tracking(w_star, lam):
         f"ms, but the point is {'' if cap_bound else 'not '}declared cap-bound"
     )
     sc = Scenario(CFG, Policy.adaptive(w_star, w_max), PoissonTraffic(lam), H)
-    metrics = replicate(sc, SEEDS)
+    metrics = [run(sc, s) for s in SEEDS]
     if cap_bound:
         _assert_cap_saturated(lam, w_star, q_max, metrics)
         return
@@ -205,7 +205,7 @@ def test_c04_cap_saturation_high_load():
     for lam in (0.7, 0.8, 0.9):
         sc = Scenario(CFG, Policy.adaptive(512.0, 1024.0), PoissonTraffic(lam), H)
         means_q.append(_assert_cap_saturated(lam, 512.0, q_max,
-                                             replicate(sc, SEEDS)))
+                                             [run(sc, s) for s in SEEDS]))
     # "stops increasing": the by-rate curve flattens instead of growing
     assert (max(means_q) - min(means_q)) / max(means_q) < 0.30
 
@@ -429,7 +429,8 @@ def pareto_runs():
         adaptive = Scenario(CFG, Policy.adaptive(512.0, 1024.0),
                             ParetoTraffic(lam, 1.5), H)
         standard = Scenario(CFG, Policy.standard(), ParetoTraffic(lam, 1.5), H)
-        out[lam] = (replicate(adaptive, SEEDS), replicate(standard, SEEDS))
+        out[lam] = ([run(adaptive, s) for s in SEEDS],
+                    [run(standard, s) for s in SEEDS])
     return out
 
 

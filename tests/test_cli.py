@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from drxsim import engine, traffic
+from drxsim import cli, engine, traffic
 from drxsim.cli import (
     CSV_COLUMNS,
     SpecError,
@@ -278,6 +278,32 @@ class TestRunExperiment:
         assert len(run_experiment(spec)) == 3
         assert len(parses) == 1
 
+    @pytest.mark.parametrize("text,points", [
+        (FULL, 4),
+        ("[run]\nhorizon = 3000\nseeds = 1 2 3\n\n[traffic]\nkind = schedule\n"
+         "segments = 1500:0.2 1500:0.5\n\n[policies]\nadaptive = 64:128\n"
+         "standard = on\n", 2),
+    ], ids=["poisson", "schedule"])
+    def test_every_seed_runs_through_run_detailed(self, text, points,
+                                                  monkeypatch):
+        # One run path for every traffic kind: each (grid point, seed) is
+        # one run_detailed call, and no sweep calls engine.run (the
+        # benchmark's per-run timer wraps both and must not nest).
+        calls = {"run_detailed": 0, "run": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(cli, "run_detailed",
+                            counted("run_detailed", cli.run_detailed))
+        monkeypatch.setattr(engine, "run", counted("run", engine.run))
+        spec = parse_spec(text)
+        run_experiment(spec)
+        assert calls == {"run_detailed": points * len(spec.seeds), "run": 0}
+
     def test_parallel_jobs_match_serial(self):
         schedule = ("[run]\nhorizon = 3000\nseeds = 1 2\n\n[traffic]\n"
                     "kind = schedule\nsegments = 1500:0.2 1500:0.5\n\n"
@@ -403,6 +429,12 @@ class TestMain:
         out = capsys.readouterr().out
         assert len(out.splitlines()) == 5
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_run_rejects_jobs_below_one(self, tmp_path, capsys, jobs):
+        assert main(["run", self._write(tmp_path, FULL), "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert "--jobs" in captured.err and captured.out == ""
+
     def test_run_warns_on_nan_row(self, tmp_path, capsys):
         # Threshold 64 never fills at rate 0.01 in 1 s, so nothing is
         # served; the row stays in the table and the exit code is 0.
@@ -515,3 +547,17 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=_src_env(),
                          check=True, capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_readme_quickstart_runs():
+    # The README's library quickstart, as written.  No sweep calls run or
+    # run_replicated, so this is the check on that documented path.
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    (code,) = [block.split("\n", 1)[1] for block in text.split("```")[1::2]
+               if block.startswith("python\n")]
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "ms (95% CI)" in proc.stdout

@@ -324,9 +324,10 @@ def stretch_ends(draw, cfg, t0):
        t0=st.one_of(_grid(0.0, 1000.0, 0.5), st.floats(0.0, 1000.0)))
 def test_sleep_in_matches_scalar_walk(data, cfg, t0):
     ends = data.draw(st.lists(stretch_ends(cfg, t0), min_size=1, max_size=8))
-    geo = engine._CycleGeometry(cfg)
     want = [sleep_between(cfg, t0, e).hex() for e in ends]
     starts = np.full(len(ends), t0)
-    assert [v.hex() for v in geo.sleep_in(starts, np.array(ends)).tolist()] == want
+    got = engine._sleep_in(cfg, starts, np.array(ends))
+    assert [v.hex() for v in got.tolist()] == want
     # slice_stats passes a scalar end for every stretch.
-    assert [geo.sleep_in(starts, e)[0].item().hex() for e in ends] == want
+    assert [engine._sleep_in(cfg, starts, e)[0].item().hex()
+            for e in ends] == want

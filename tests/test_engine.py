@@ -434,6 +434,16 @@ class TestSliceStats:
             m.mean_delay * m.packets_served, rel=1e-12)
 
 
+    @pytest.mark.parametrize("start,end", [
+        (5.0, 5.0), (6.0, 5.0), (-100.0, 50.0), (0.0, math.inf),
+        (math.nan, 50.0),
+    ])
+    def test_window_outside_run_rejected(self, start, end):
+        r = _result(Policy.fixed(8))
+        with pytest.raises(ValueError, match=f"start {start!r} and end {end!r}"):
+            slice_stats(r, CFG, start, end)
+
+
 class TestSchedules:
     def test_schedule_traffic_runs(self):
         sched = ScheduleTraffic(((5000.0, 0.1), (5000.0, 0.5)))
