@@ -131,6 +131,8 @@ class RunResult:
     """
 
     metrics: Metrics
+    # The run's end, ms: no window reaches past it.
+    horizon: float
     # DRX-enable instants (coalescing-cycle boundaries), in order.
     boundaries: tuple[float, ...]
     # Threshold in effect from each boundary on (post-update values).
@@ -150,6 +152,7 @@ class RunResult:
         if not isinstance(other, RunResult):
             return NotImplemented
         return (self.metrics == other.metrics
+                and self.horizon == other.horizon
                 and self.boundaries == other.boundaries
                 and self.thresholds == other.thresholds
                 and self.stretch_ends == other.stretch_ends
@@ -422,6 +425,7 @@ def simulate(arrivals: Sequence[float] | np.ndarray | tr.ArrivalStream,
     )
     return RunResult(
         metrics=metrics,
+        horizon=horizon,
         boundaries=tuple(boundaries),
         thresholds=tuple(thresholds),
         arrivals=A_arr[:served],
@@ -591,12 +595,12 @@ def slice_stats(result: RunResult, cfg: DrxConfig, start: float, end: float
 
     Packets are assigned to the window by transmission start; ``cfg`` is
     the DRX configuration the run used, which lays out each stretch's sleep.
-    The window must satisfy ``0 <= start < end < inf`` (``ValueError``
-    otherwise).
+    The window must lie in the run, ``0 <= start < end <= horizon``
+    (``ValueError`` otherwise).
     """
-    if not (0.0 <= start < end < math.inf):
+    if not (0.0 <= start < end <= result.horizon):
         raise ValueError(f"window start {start!r} and end {end!r} must "
-                         "satisfy 0 <= start < end < inf")
+                         f"satisfy 0 <= start < end <= {result.horizon!r}")
     tx = result.tx_starts
     lo = int(np.searchsorted(tx, start, side="left"))
     hi = int(np.searchsorted(tx, end, side="left"))

@@ -367,5 +367,6 @@ def lindley_run(arrivals: Sequence[float], cfg: DrxConfig, policy: Policy,
         saturated=(n * psf / horizon) >= 1.0,
         per_cycle=tuple(per_cycle),
     )
-    return engine.RunResult(metrics, tuple(boundaries), tuple(thresholds),
-                            np.array(A[:i]), tuple(ends), (tx,))
+    return engine.RunResult(metrics, horizon, tuple(boundaries),
+                            tuple(thresholds), np.array(A[:i]), tuple(ends),
+                            (tx,))

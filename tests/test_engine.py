@@ -436,12 +436,18 @@ class TestSliceStats:
 
     @pytest.mark.parametrize("start,end", [
         (5.0, 5.0), (6.0, 5.0), (-100.0, 50.0), (0.0, math.inf),
-        (math.nan, 50.0),
+        (math.nan, 50.0), (0.0, 2 * H),
     ])
     def test_window_outside_run_rejected(self, start, end):
         r = _result(Policy.fixed(8))
         with pytest.raises(ValueError, match=f"start {start!r} and end {end!r}"):
             slice_stats(r, CFG, start, end)
+
+    def test_window_may_end_at_horizon(self):
+        # cli's last window ends at the horizon exactly; it sees the run.
+        r = _result(Policy.fixed(8), rate=0.1)
+        assert r.horizon == H
+        assert slice_stats(r, CFG, 0.0, H)[1] == r.metrics.sleep_fraction
 
 
 class TestSchedules:
