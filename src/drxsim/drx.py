@@ -50,6 +50,8 @@ class DrxConfig:
 
     def __post_init__(self) -> None:
         _check_finite(self, "t_in", "t_on", "t_short", "t_long", "n_short")
+        if type(self.n_short) is not int:
+            raise ValueError(f"n_short must be an int, got {self.n_short!r}")
         if self.t_in < 0:
             raise ValueError(f"t_in must be >= 0, got {self.t_in}")
         if self.t_on <= 0 or self.t_short <= 0 or self.t_long <= 0:

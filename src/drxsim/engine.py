@@ -22,8 +22,11 @@ misses the countdown), one lookup.  A backlog before that is served at
 j*psf))``, one numpy pass per chunk checked against the recursion, which
 finishes a chunk where they differ (rarely at ``psf = 1``).  Delay sums
 add in packet order, so results are bit-identical to a per-packet loop's
-for any ``psf``.  Short stretches stay per packet; an ``inf`` sentinel
-after the last arrival ends the scalar loop without an index test.
+for any ``psf``.  Short stretches stay per packet, on a list that holds
+Python floats only where the loop reads (``None`` elsewhere): fills
+convert new arrivals, doubling while it walks on and small again past a
+jump; an adaptive run's rate estimate converts all of them.  An ``inf``
+sentinel after the last arrival ends the scalar loop without an index test.
 
 Every run returns one ``RunResult``: the metrics, each served packet's
 arrival and transmission start, and each DRX stretch as its enable instant
@@ -223,6 +226,11 @@ def _lambda_hat_series(arrivals: Sequence[float], k_ema: float) -> list[float]:
 _SCALAR_HEAD = 128
 
 
+def _fill(A: list, A_arr: np.ndarray, lo: int, hi: int) -> None:
+    """Fill slots ``lo`` to ``hi`` of the scalar loop's list with floats."""
+    A[lo:hi] = A_arr[lo:hi].tolist()
+
+
 def _no_drx_schedule(A: np.ndarray, psf: float, t_in: float
                      ) -> tuple[np.ndarray, np.ndarray]:
     """The run's starts with DRX off, ``G``, and their break indices.
@@ -303,19 +311,23 @@ def simulate(arrivals: Sequence[float] | np.ndarray | tr.ArrivalStream,
         arrivals = tr.ArrivalStream(arrivals)
     A_arr = arrivals.arrivals
     A_arr = A_arr[:int(np.searchsorted(A_arr, horizon, side="left"))]
-    A = A_arr.tolist()
-    n = len(A)
+    n = len(A_arr)
     t_in, t_on, t_s, t_l = cfg.t_in, cfg.t_on, cfg.t_short, cfg.t_long
     short_span = cfg.n_short * t_s
 
     adaptive = policy.kind is PolicyKind.ADAPTIVE_COALESCING
+    A = A_arr.tolist() if adaptive else [None] * n
     if adaptive:
         q_max = ctrl.q_max_from_bound(policy.w_max, psf)
         state = ctrl.initial_state(policy.w_star, q_max)
         lam_hat = _lambda_hat_series(A, 2.0 * policy.w_max)
+    A.append(math.inf)  # the sentinel: no arrival after the last
     q_w = state.q_w if adaptive else policy.q_w
     q_less = math.ceil(q_w) - 1  # a release waits for packet i + q_less
-    A.append(math.inf)  # the sentinel: no arrival after the last
+    # From packet i the loop reads up to A[i + reach].  A holds floats from
+    # the last jump up to hi, and the next fill is due once i reaches refill.
+    reach = max(_SCALAR_HEAD, q_less)
+    hi = refill = n + 1 if adaptive else 0
 
     # The scalar loop appends starts to ``tx``; an array from the no-DRX
     # schedule closes it.  RunResult joins the parts if ``tx_starts`` is read.
@@ -337,6 +349,11 @@ def simulate(arrivals: Sequence[float] | np.ndarray | tr.ArrivalStream,
     G = breaks = None  # the no-DRX schedule, built when first needed
 
     while not done:
+        if i >= refill:
+            lo, size = (hi, 2 * size) if i < hi else (i, reach + 1)
+            hi = min(lo + size, n)
+            _fill(A, A_arr, lo, hi)
+            refill = hi - reach if hi < n else n + 1
         expiry = free + t_in
         if A[i] > expiry:
             # Queue empty and no arrival inside the countdown: DRX next.

@@ -233,14 +233,19 @@ def test_array_path_matches_scalar(arrivals, cfg, policy, psf, head):
                                  DrxConfig(10, 2, 8, 32, 3)],
                          ids=["n_short0", "n_short3"])
 @pytest.mark.parametrize("traffic", [
-    PoissonTraffic(0.05), PoissonTraffic(0.2), ParetoTraffic(0.3, 1.5)],
-    ids=["poisson0.05", "poisson0.2", "pareto1.5"])
+    PoissonTraffic(0.05), PoissonTraffic(0.2), PoissonTraffic(0.6),
+    ParetoTraffic(0.3, 1.5)],
+    ids=["poisson0.05", "poisson0.2", "poisson0.6", "pareto1.5"])
 def test_sweep_sized_streams_match_scalar(traffic, cfg, psf):
-    # Up to 6,175 arrivals and 365 DRX stretches per run.
+    # Up to 12,021 arrivals and 471 DRX stretches per run.  At rate 0.6
+    # the schedule serves long stretches, jumping past the loop's filled
+    # arrivals, and thresholds 700 and up to 1,024 release on arrivals
+    # beyond the scalar head.
     horizon = 20000.0
     stream = make_arrivals(traffic, horizon, 1)
     for policy in (Policy.standard(), Policy.fixed(2), Policy.fixed(8),
-                   Policy.adaptive(64, 128)):
+                   Policy.fixed(700), Policy.adaptive(64, 128),
+                   Policy.adaptive(512, 1024)):
         want = lindley_run(stream.arrivals, cfg, policy, horizon, psf)
         got = simulate(stream, cfg, policy, horizon, psf)
         assert _bits_of(got) == _bits_of(want), policy

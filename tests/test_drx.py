@@ -50,6 +50,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             DrxConfig(**kw)
 
+    @pytest.mark.parametrize("n_short", [2.5, 2.0, True, 1e300],
+                             ids=["fraction", "float", "bool", "huge"])
+    def test_n_short_must_be_int(self, n_short):
+        # A run used to lay out 2.5 short cycles without error.
+        with pytest.raises(ValueError, match="^n_short must be an int"):
+            DrxConfig(10, 2, 8, 32, n_short)
+
     def test_policy_invariants(self):
         with pytest.raises(ValueError):
             Policy.fixed(0.5)

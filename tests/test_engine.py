@@ -364,6 +364,32 @@ class TestArrayPath:
         assert built == [1]
         assert sum(served) > 0.9 * m.packets_served > 0
 
+    def _converted(self, monkeypatch, policy, rate, horizon):
+        # The scalar loop's arrivals that became Python floats, one index
+        # per conversion, and the run's arrival count.
+        converted = []
+        fill = engine._fill
+
+        def counting_fill(A, A_arr, lo, hi):
+            converted.extend(range(lo, hi))
+            fill(A, A_arr, lo, hi)
+
+        monkeypatch.setattr(engine, "_fill", counting_fill)
+        m = run(_scenario(policy, rate=rate, horizon=horizon), 1)
+        return converted, m.arrivals
+
+    def test_dense_run_converts_few_arrivals(self, monkeypatch):
+        # The schedule serves most packets, and their arrivals stay in the
+        # array.
+        converted, n = self._converted(monkeypatch, Policy.standard(), 0.9,
+                                       25000.0)
+        assert len(set(converted)) == len(converted) < 0.1 * n
+
+    def test_sparse_run_converts_each_arrival_once(self, monkeypatch):
+        converted, n = self._converted(monkeypatch, Policy.fixed(8), 0.1,
+                                       100000.0)
+        assert converted == list(range(n))
+
 
 class TestValueTypes:
     # A non-finite field used to construct and then fail deep in a run
