@@ -71,9 +71,9 @@ class TrafficMoments:
     var_s: float
 
     def __post_init__(self) -> None:
-        if self.lam <= 0 or self.mu <= 0:
+        if not (self.lam > 0 and self.mu > 0):
             raise ValueError("lam and mu must be > 0")
-        if self.var_a < 0 or self.var_s < 0:
+        if not (self.var_a >= 0 and self.var_s >= 0):
             raise ValueError("variances must be >= 0")
         if self.lam >= self.mu:
             raise StabilityError(
@@ -100,14 +100,15 @@ class VacationMoments:
     gamma: float
 
     def __post_init__(self) -> None:
-        if min(self.e_i, self.e_i2, self.e_wf, self.e_wf2) < 0:
+        if not all(m >= 0 for m in (self.e_i, self.e_i2, self.e_wf,
+                                     self.e_wf2)):
             raise ValueError("moments must be >= 0")
         # Allow for double-precision slack in the variance constraints.
         if self.e_i2 < self.e_i**2 * (1 - 1e-12):
             raise ValueError("e_i2 < e_i^2 is not a valid second moment")
         if self.e_wf2 < self.e_wf**2 * (1 - 1e-12):
             raise ValueError("e_wf2 < e_wf^2 is not a valid second moment")
-        if self.gamma < 1.0:
+        if not self.gamma >= 1.0:
             raise ValueError(f"gamma must be >= 1, got {self.gamma}")
 
 
@@ -130,9 +131,9 @@ def gamma_poisson(lam: float, t_in: float) -> float:
     Returns ``inf`` when the exponent overflows double precision; downstream
     formulas handle that limit explicitly.
     """
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError(f"lam must be > 0, got {lam}")
-    if t_in < 0:
+    if not t_in >= 0:
         raise ValueError(f"t_in must be >= 0, got {t_in}")
     try:
         return math.exp(lam * t_in)
@@ -149,9 +150,9 @@ def poisson_vacation_moments(lam: float, q_w: float, t_w: float,
     ``(q_w - 1)/lam``, variance ``(q_w - 1)/lam^2``) plus the extra wait
     ``t_w``, which enters the second moment as a constant shift.
     """
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError(f"lam must be > 0, got {lam}")
-    if q_w < 1:
+    if not q_w >= 1:
         raise ValueError(f"q_w must be >= 1, got {q_w}")
     e_wf = (q_w - 1.0) / lam + t_w
     e_wf2 = (q_w - 1.0) / lam**2 + e_wf**2
@@ -164,7 +165,7 @@ def mean_wait_general(tm: TrafficMoments, q_w: float, vm: VacationMoments) -> fl
     The vacation and covariance terms share the denominator
     ``E[Wf] + g E[I]``; see the module docstring for the formula.
     """
-    if q_w < 1:
+    if not q_w >= 1:
         raise ValueError(f"q_w must be >= 1, got {q_w}")
     lam = tm.lam
     rho = tm.rho
@@ -191,7 +192,7 @@ def mean_wait_poisson_raw(lam: float, mu: float, var_s: float, q_w: float,
     variance ``1/lam^2`` and the vacation moments of
     ``poisson_vacation_moments``.
     """
-    if lam <= 0 or mu <= 0:
+    if not (lam > 0 and mu > 0):
         raise ValueError("lam and mu must be > 0")
     return mean_wait_general(TrafficMoments(lam, mu, 1.0 / lam**2, var_s), q_w,
                              poisson_vacation_moments(lam, q_w, t_w, gamma))
@@ -225,11 +226,13 @@ def dmean_wait_dq(lam: float, q_w: float, t_w: float, gamma: float) -> float:
     as the threshold grows and to 0 as ``gamma`` grows without bound, where
     DRX is never enabled and the threshold no longer matters.
     """
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError(f"lam must be > 0, got {lam}")
-    if q_w < 1:
+    if not q_w >= 1:
         raise ValueError(f"q_w must be >= 1, got {q_w}")
-    if gamma < 1.0:
+    if not t_w >= 0:
+        raise ValueError(f"t_w must be >= 0, got {t_w}")
+    if not gamma >= 1.0:
         raise ValueError(f"gamma must be >= 1, got {gamma}")
     # Numerator D^2 - g(g-1) - a = c(c + 2g) + g - a with c = q + a - 1,
     # and both parts divided by g^2: no cancellation, no overflow, and the

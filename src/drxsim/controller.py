@@ -29,13 +29,13 @@ class ControllerState:
     w_star: float
 
     def __post_init__(self) -> None:
-        if self.q_max < 1:
+        if not self.q_max >= 1:
             raise ValueError(f"q_max must be >= 1, got {self.q_max}")
         if not (1.0 <= self.q_w <= self.q_max):
             raise ValueError(
                 f"q_w must lie in [1, {self.q_max}], got {self.q_w}"
             )
-        if self.w_star <= 0:
+        if not self.w_star > 0:
             raise ValueError(f"w_star must be > 0, got {self.w_star}")
 
 
@@ -45,7 +45,7 @@ def q_max_from_bound(w_max: float, s_max: float) -> float:
     ``s_max`` is the largest service time a packet can demand, so a backlog
     of ``q_max`` packets drains within ``w_max``.
     """
-    if w_max <= 0 or s_max <= 0:
+    if not (w_max > 0 and s_max > 0):
         raise ValueError("w_max and s_max must be > 0")
     return w_max / s_max
 
@@ -62,9 +62,9 @@ def update_threshold(cs: ControllerState, lambda_hat: float,
     Raises the threshold when the cycle ran faster than the target, lowers
     it otherwise, and clamps the result into ``[1, q_max]``.
     """
-    if lambda_hat <= 0:
+    if not lambda_hat > 0:
         raise ValueError(f"lambda_hat must be > 0, got {lambda_hat}")
-    if w_hat < 0:
+    if not w_hat >= 0:
         raise ValueError(f"w_hat must be >= 0, got {w_hat}")
     raw = cs.q_w + 2.0 * lambda_hat * (cs.w_star - w_hat)
     clamped = min(max(raw, 1.0), cs.q_max)

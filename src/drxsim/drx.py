@@ -12,17 +12,18 @@ the test suite checks it against an event-by-event UE state machine.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
 
 def _check_finite(value_type, *names: str) -> None:
     """Raise ``ValueError`` naming the first of the fields ``names`` of
-    ``value_type`` that is not a finite number."""
+    ``value_type`` that is not a finite number (a string is not one)."""
     for name in names:
         value = getattr(value_type, name)
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+        if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 class PolicyKind(Enum):

@@ -29,22 +29,18 @@ jump; an adaptive run's rate estimate converts all of them.  An ``inf``
 sentinel after the last arrival ends the scalar loop without an index test.
 
 Every run returns one ``RunResult``: the metrics, each served packet's
-arrival and transmission start, and each DRX stretch as its enable instant
-(``boundaries``), threshold and end (``stretch_ends``: the release instant,
-or the horizon).  ``slice_stats`` reads the statistics of any time window
-off that shape.  Per-packet output is built only where it is read: the
-arrivals are a view of the checked input array, and the transmission
-starts stay in the segments the loop produced (lists from the scalar
-loop, arrays from the schedule) until ``tx_starts`` is first read.  The
-sleep total is summed once after the loop, from an elementwise form of
-the cycle geometry (``_sleep_in``) added in stretch order; each term, and
-so the total, is bit-identical to a per-stretch scalar walk.  Every sum
-over one run (delay, sleep, threshold means, and the same in
-``slice_stats``) is in order (``_running_sum``), never Python's ``sum``,
-which is compensated from CPython 3.12 on; only ``confidence_interval``
-uses numpy's pairwise ``mean`` and ``std``.  The EMA arrival-rate
-estimate the adaptive controller reads is computed here too
-(``_lambda_hat_series``).
+arrival (a view of the checked input) and transmission start, and each DRX
+stretch as its enable instant (``boundaries``), threshold and end
+(``stretch_ends``: the release instant, or the horizon).  ``slice_stats``
+reads the statistics of any time window off that shape, and a run's
+metrics are its statistics over [0, horizon); the loop sums only each
+cycle's delay, for the controller.  Sleep comes from an elementwise form of
+the cycle geometry (``_sleep_in``), each term bit-identical to a
+per-stretch scalar walk.  Every sum over one run is in order
+(``_running_sum``), never Python's ``sum``, which is compensated from
+CPython 3.12 on; only ``confidence_interval`` uses numpy's pairwise
+``mean`` and ``std``.  The EMA arrival-rate estimate the adaptive
+controller reads is computed here too (``_lambda_hat_series``).
 
 Timing conventions (all ms, continuous time):
 
@@ -67,7 +63,7 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -93,7 +89,12 @@ class Scenario:
 
 @dataclass(frozen=True, slots=True)
 class Metrics:
-    """Per-run outputs over [0, horizon)."""
+    """Per-run outputs over [0, horizon).
+
+    The three means are ``slice_stats`` over [0, horizon), but for one
+    documented value: with no DRX stretch, ``mean_q_w`` is the threshold
+    the run started with (the policy's, or the controller's initial one).
+    """
 
     mean_delay: float
     sleep_fraction: float
@@ -125,9 +126,7 @@ class RunResult:
 
     Every run returns this one shape.  Packets are served FIFO, so
     ``arrivals`` and ``tx_starts`` (one entry per served packet, read-only
-    float64 arrays) are both sorted.  ``tx_starts`` is joined from the
-    loop's segments the first time it is read, then cached; a caller that
-    reads only ``metrics`` never builds it.  DRX stretch k runs from
+    float64 arrays) are both sorted.  DRX stretch k runs from
     ``boundaries[k]`` to ``stretch_ends[k]``, its release instant or the
     horizon: the UE sleeps and listens on that span and transmits nothing
     inside it.  Equality is exact, field by field.
@@ -142,14 +141,7 @@ class RunResult:
     thresholds: tuple[float, ...]
     arrivals: np.ndarray
     stretch_ends: tuple[float, ...]
-    # Transmission starts as the loop produced them: lists and arrays.
-    _tx_parts: tuple = field(repr=False)
-
-    @functools.cached_property
-    def tx_starts(self) -> np.ndarray:
-        out = np.concatenate(self._tx_parts)
-        out.flags.writeable = False
-        return out
+    tx_starts: np.ndarray
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RunResult):
@@ -330,9 +322,9 @@ def simulate(arrivals: Sequence[float] | np.ndarray | tr.ArrivalStream,
     hi = refill = n + 1 if adaptive else 0
 
     # The scalar loop appends starts to ``tx``; an array from the no-DRX
-    # schedule closes it.  RunResult joins the parts if ``tx_starts`` is read.
+    # schedule closes it.
     tx: list[float] = []
-    tx_parts: list[list[float] | np.ndarray] = []
+    tx_parts: list[np.ndarray] = []
     boundaries: list[float] = []
     thresholds: list[float] = []
     stretch_ends: list[float] = []
@@ -341,7 +333,7 @@ def simulate(arrivals: Sequence[float] | np.ndarray | tr.ArrivalStream,
         tx.append, boundaries.append, thresholds.append, stretch_ends.append,
         per_cycle.append)
 
-    delay_sum = c_dsum = 0.0
+    c_dsum = 0.0
     c_first = 0  # the first packet of the current cycle
     free = 0.0
     i = 0
@@ -403,9 +395,7 @@ def simulate(arrivals: Sequence[float] | np.ndarray | tr.ArrivalStream,
                 done = True
                 break
             tx_add(s)
-            d = s - a
-            delay_sum += d
-            c_dsum += d
+            c_dsum += s - a
             free = s + psf
             i += 1
             if A[i] > free + t_in:
@@ -416,39 +406,28 @@ def simulate(arrivals: Sequence[float] | np.ndarray | tr.ArrivalStream,
             starts, free, done = _serve_from_schedule(
                 A_arr, G, breaks, i, free, psf, t_in, horizon)
             m = i + len(starts)
-            d = starts - A_arr[i:m]
-            delay_sum = _running_sum(delay_sum, d)
-            c_dsum = _running_sum(c_dsum, d)
-            tx_parts += (tx, starts)
+            c_dsum = _running_sum(c_dsum, starts - A_arr[i:m])
+            tx_parts += (np.fromiter(tx, float, len(tx)), starts)
             tx = []
             tx_add = tx.append
             i = m
-    tx_parts.append(tx)
+    tx_parts.append(np.fromiter(tx, float, len(tx)))
+    tx_starts = np.concatenate(tx_parts)
+    tx_starts.flags.writeable = False
 
     # Every packet before i was served, and none after.
-    served = i
-    sleep = _sleep_in(cfg, np.array(boundaries), np.array(stretch_ends))
-    mean_delay = delay_sum / served if served else math.nan
-    mean_q_w = (_running_sum(0.0, thresholds) / len(thresholds)
-                if thresholds else q_w)
-    metrics = Metrics(
-        mean_delay=mean_delay,
-        sleep_fraction=_running_sum(0.0, sleep) / horizon,
-        mean_q_w=mean_q_w,
+    result = RunResult(None, horizon, tuple(boundaries), tuple(thresholds),
+                       A_arr[:i], tuple(stretch_ends), tx_starts)
+    delay, sleep, mean_q, served = slice_stats(result, cfg, 0.0, horizon)
+    return replace(result, metrics=Metrics(
+        mean_delay=delay,
+        sleep_fraction=sleep,
+        mean_q_w=mean_q if thresholds else q_w,
         packets_served=served,
         arrivals=n,
         saturated=(n * psf / horizon) >= 1.0,
         per_cycle=tuple(per_cycle),
-    )
-    return RunResult(
-        metrics=metrics,
-        horizon=horizon,
-        boundaries=tuple(boundaries),
-        thresholds=tuple(thresholds),
-        arrivals=A_arr[:served],
-        stretch_ends=tuple(stretch_ends),
-        _tx_parts=tuple(tx_parts),
-    )
+    ))
 
 
 def make_arrivals(traffic: tr.TrafficKind, horizon: float,
@@ -610,10 +589,12 @@ def slice_stats(result: RunResult, cfg: DrxConfig, start: float, end: float
                 ) -> tuple[float, float, float, int]:
     """(mean delay, sleep fraction, mean threshold, served) over [start, end).
 
-    Packets are assigned to the window by transmission start; ``cfg`` is
-    the DRX configuration the run used, which lays out each stretch's sleep.
-    The window must lie in the run, ``0 <= start < end <= horizon``
-    (``ValueError`` otherwise).
+    Packets are assigned to the window by transmission start, thresholds
+    by their stretch's enable instant; ``cfg`` is the DRX configuration the
+    run used, which lays out each stretch's sleep.  The mean delay is NaN
+    with no packet served, and the mean threshold NaN with no DRX stretch
+    enabled in the window.  The window must lie in the run,
+    ``0 <= start < end <= horizon`` (``ValueError`` otherwise).
     """
     if not (0.0 <= start < end <= result.horizon):
         raise ValueError(f"window start {start!r} and end {end!r} must "
@@ -626,8 +607,12 @@ def slice_stats(result: RunResult, cfg: DrxConfig, start: float, end: float
     last = bisect_left(result.boundaries, end)
     t0 = np.array(result.boundaries[first:last])
     t_end = np.minimum(np.array(result.stretch_ends[first:last]), end)
-    sleep = _running_sum(0.0,
-                         _sleep_in(cfg, t0, t_end) - _sleep_in(cfg, t0, start))
+    sleep = _sleep_in(cfg, t0, t_end)
+    # Stretches are disjoint and in order: only the first can begin before
+    # the window, and the sleep before it comes off that one alone.
+    if first < last and result.boundaries[first] < start:
+        sleep[0] -= _sleep_in(cfg, t0[0], start)
+    sleep = _running_sum(0.0, sleep)
     qs = result.thresholds[bisect_left(result.boundaries, start):last]
     mean_delay = (_running_sum(0.0, tx[lo:hi] - result.arrivals[lo:hi]) / served
                   if served else math.nan)

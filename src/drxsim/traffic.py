@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from typing import Sequence
@@ -96,9 +97,9 @@ def _running_sum(start: float, d: Sequence[float] | np.ndarray) -> float:
 
 
 def _check_above(name: str, value: float, low: float) -> None:
-    # ``low < value < inf``, which NaN fails too.
-    if not low < value < math.inf:
-        raise ValueError(f"{name} must be finite and > {low:g}, got {value}")
+    # A real ``low < value < inf``, which NaN and strings fail too.
+    if not (isinstance(value, numbers.Real) and low < value < math.inf):
+        raise ValueError(f"{name} must be finite and > {low:g}, got {value!r}")
 
 
 # ``kind.report``: the whole-run row's label and rate, and the windows

@@ -367,6 +367,8 @@ def lindley_run(arrivals: Sequence[float], cfg: DrxConfig, policy: Policy,
         saturated=(n * psf / horizon) >= 1.0,
         per_cycle=tuple(per_cycle),
     )
+    tx_starts = np.array(tx)
+    tx_starts.flags.writeable = False
     return engine.RunResult(metrics, horizon, tuple(boundaries),
                             tuple(thresholds), np.array(A[:i]), tuple(ends),
-                            (tx,))
+                            tx_starts)

@@ -299,3 +299,47 @@ class TestEquilibriumThreshold:
     def test_clamps_to_floor_when_overshooting(self):
         g = gamma_poisson(0.9, 10)
         assert equilibrium_threshold(0.9, 1e-6, TW, g, q_max=1024.0) == 1.0
+
+
+# Each argument that a check guards rejects NaN, which fails every
+# comparison; gamma = inf stays valid (DRX never enabled).
+NAN = math.nan
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: gamma_poisson(NAN, 10), "lam must be > 0"),
+    (lambda: gamma_poisson(0.1, NAN), "t_in must be >= 0"),
+    (lambda: dmean_wait_dq(NAN, 8.0, TW, 2.0), "lam must be > 0"),
+    (lambda: dmean_wait_dq(0.1, NAN, TW, 2.0), "q_w must be >= 1"),
+    (lambda: dmean_wait_dq(0.1, 8.0, NAN, 2.0), "t_w must be >= 0"),
+    (lambda: dmean_wait_dq(0.1, 8.0, TW, NAN), "gamma must be >= 1"),
+    (lambda: mean_wait_poisson_raw(NAN, 1.0, 0.0, 8.0, TW, 2.0),
+     "lam and mu must be > 0"),
+    (lambda: mean_wait_poisson_raw(0.1, NAN, 0.0, 8.0, TW, 2.0),
+     "lam and mu must be > 0"),
+    (lambda: TrafficMoments(NAN, 1.0, 0.0, 0.0), "lam and mu must be > 0"),
+    (lambda: TrafficMoments(0.1, 1.0, NAN, 0.0), "variances must be >= 0"),
+    (lambda: poisson_vacation_moments(NAN, 8.0, TW, 2.0), "lam must be > 0"),
+    (lambda: poisson_vacation_moments(0.1, NAN, TW, 2.0), "q_w must be >= 1"),
+    (lambda: poisson_vacation_moments(0.1, 8.0, NAN, 2.0),
+     "moments must be >= 0"),
+    (lambda: VacationMoments(1.0, 2.0, 1.0, 2.0, NAN), "gamma must be >= 1"),
+    (lambda: mean_wait_general(TrafficMoments(0.1, 1.0, 100.0, 0.0), NAN,
+                               poisson_vacation_moments(0.1, 8.0, TW, 2.0)),
+     "q_w must be >= 1"),
+], ids=["gamma_poisson-lam", "gamma_poisson-t_in", "dmean_wait_dq-lam",
+        "dmean_wait_dq-q_w", "dmean_wait_dq-t_w", "dmean_wait_dq-gamma",
+        "mean_wait_poisson_raw-lam", "mean_wait_poisson_raw-mu",
+        "TrafficMoments-lam", "TrafficMoments-var_a",
+        "poisson_vacation_moments-lam", "poisson_vacation_moments-q_w",
+        "poisson_vacation_moments-t_w", "VacationMoments-gamma",
+        "mean_wait_general-q_w"])
+def test_nan_argument_rejected(call, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call()
+
+
+def test_infinite_gamma_accepted():
+    assert dmean_wait_dq(0.1, 8.0, TW, math.inf) == 0.0
+    vm = poisson_vacation_moments(0.1, 8.0, TW, math.inf)
+    assert vm.gamma == math.inf

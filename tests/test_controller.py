@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -119,3 +121,22 @@ class TestClosedLoopAgainstModel:
             q = max(q + 2.0 * lam * (w_star - w), 1.0)
         final = mean_wait_poisson_raw(lam, 1.0, 0.0, q, TW, g)
         assert abs(final - w_star) < 0.1
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: q_max_from_bound(math.nan, 1), "w_max and s_max must be > 0"),
+    (lambda: q_max_from_bound(10, math.nan), "w_max and s_max must be > 0"),
+    (lambda: initial_state(math.nan, 128), "w_star must be > 0"),
+    (lambda: initial_state(64, math.nan), "q_max must be >= 1"),
+    (lambda: ControllerState(math.nan, 128, 64), "q_w must lie in"),
+    (lambda: update_threshold(initial_state(64, 128), math.nan, 10),
+     "lambda_hat must be > 0"),
+    (lambda: update_threshold(initial_state(64, 128), 0.5, math.nan),
+     "w_hat must be >= 0"),
+], ids=["q_max_from_bound-w_max", "q_max_from_bound-s_max",
+        "initial_state-w_star", "initial_state-q_max", "ControllerState-q_w",
+        "update_threshold-lambda_hat", "update_threshold-w_hat"])
+def test_nan_argument_rejected(call, message):
+    # NaN fails every comparison, so each check is written to accept.
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call()

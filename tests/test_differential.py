@@ -21,7 +21,9 @@ against the per-packet ``drx_reference.lindley_run``, and
 sweep draws; the schedule tests check that schedule against its
 recursion and its premise, that no packet starts before its no-DRX
 start.  ``test_sleep_in_matches_scalar_walk`` checks that the elementwise
-sleep layout matches the scalar walk bit for bit.
+sleep layout matches the scalar walk bit for bit, and
+``test_slice_stats_matches_scalar_walk`` that a window's statistics match
+in-order scalar sums over its packets, stretches and thresholds.
 """
 
 from __future__ import annotations
@@ -336,3 +338,60 @@ def test_sleep_in_matches_scalar_walk(data, cfg, t0):
     # slice_stats passes a scalar end for every stretch.
     assert [engine._sleep_in(cfg, starts, e)[0].item().hex()
             for e in ends] == want
+
+
+def _slice_reference(r, cfg, start, end):
+    # slice_stats by scalar walks: every sum in order, each stretch's sleep
+    # in the window the walk's sleep to its clipped end less that to start.
+    delay, served = 0.0, 0
+    for a, t in zip(r.arrivals.tolist(), r.tx_starts.tolist()):
+        if start <= t < end:
+            delay += t - a
+            served += 1
+    sleep = 0.0
+    for b, e in zip(r.boundaries, r.stretch_ends):
+        if e > start and b < end:
+            sleep += (sleep_between(cfg, b, min(e, end))
+                      - sleep_between(cfg, b, start))
+    q_sum, count = 0.0, 0
+    for b, q in zip(r.boundaries, r.thresholds):
+        if start <= b < end:
+            q_sum += q
+            count += 1
+    return (delay / served if served else math.nan, sleep / (end - start),
+            q_sum / count if count else math.nan, served)
+
+
+@st.composite
+def window_edges(draw, r, cfg):
+    # 0, the horizon, a boundary or a stretch end, or a point inside one of
+    # the stretch's short cycles: in its sleep or in its on-duration.
+    k = draw(st.integers(0, len(r.boundaries) - 1))
+    u = draw(st.floats(0.0, 1.0, exclude_max=True))
+    cycle = r.boundaries[k] + draw(st.integers(0, cfg.n_short - 1)) * cfg.t_short
+    edge = draw(st.sampled_from([
+        0.0, r.horizon, r.boundaries[k], r.stretch_ends[k],
+        cycle + u * (cfg.t_short - cfg.t_on),
+        cycle + (cfg.t_short - cfg.t_on) + u * cfg.t_on,
+    ]))
+    return min(edge, r.horizon)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.filter_too_much])
+@given(data=st.data(), arrivals=arrival_lists,
+       timers=st.tuples(_grid(0.5, 4.0, 0.5), _grid(0.5, 20.0, 0.5),
+                        _grid(0.0, 40.0, 0.5)),
+       policy=st.one_of(policies, adaptive_policies))
+def test_slice_stats_matches_scalar_walk(data, arrivals, timers, policy):
+    # t_in = 0 enables DRX at 0, so every run has a stretch to cut.
+    t_on, short_sleep, long_extra = timers
+    cfg = DrxConfig(0.0, t_on, t_on + short_sleep,
+                    t_on + short_sleep + long_extra, 3)
+    r = simulate(arrivals, cfg, policy, HORIZON, 0.7)
+    edges = data.draw(st.lists(window_edges(r, cfg), min_size=2, max_size=2,
+                               unique=True))
+    start, end = sorted(edges)
+    assert (_bits(engine.slice_stats(r, cfg, start, end))
+            == _bits(_slice_reference(r, cfg, start, end)))

@@ -138,7 +138,7 @@ class TestDeterminism:
 
 
 class TestDeferredOutput:
-    """Per-packet output is read-only arrays, built only where it is read."""
+    """Per-packet output is read-only arrays; ``run`` is its metrics."""
 
     def test_per_packet_fields_are_read_only_arrays(self):
         given = np.array([5.0, 6.0, 6.0, 300.0, 2000.0])
@@ -165,22 +165,6 @@ class TestDeferredOutput:
     def test_run_is_run_detailed_metrics(self, policy, traffic):
         sc = Scenario(CFG, policy, traffic, 10000.0)
         assert run(sc, 3) == run_detailed(sc, 3).metrics
-
-    def test_metrics_only_path_leaves_tx_starts_unbuilt(self, monkeypatch):
-        results = []
-        sim = engine.simulate
-
-        def keep(*args):
-            results.append(sim(*args))
-            return results[-1]
-
-        monkeypatch.setattr(engine, "simulate", keep)
-        run(_scenario(Policy.fixed(8), rate=0.9), 1)
-        (r,) = results
-        assert "tx_starts" not in vars(r)
-        starts = r.tx_starts
-        assert vars(r)["tx_starts"] is starts is r.tx_starts
-        assert len(starts) == r.metrics.packets_served
 
 
 class TestDegenerateThreshold:
@@ -294,10 +278,14 @@ class TestMetricsFields:
 
     def test_never_enabled_drx(self):
         cfg = DrxConfig(t_in=1e6, t_on=2, t_short=32, t_long=32)
-        m = run(_scenario(Policy.standard(), rate=0.5, cfg=cfg), 1)
+        r = _result(Policy.fixed(3), rate=0.5, cfg=cfg)
+        m = r.metrics
         assert m.sleep_fraction == 0.0
         assert m.per_cycle == ()
-        assert m.mean_q_w == 1.0
+        # With no DRX stretch a window has no threshold to average, while
+        # the run reports the policy's own.
+        assert m.mean_q_w == 3.0
+        assert math.isnan(slice_stats(r, cfg, 0.0, H)[2])
 
     def test_empty_traffic(self):
         r = simulate([], CFG, Policy.standard(), 1000.0)
@@ -420,6 +408,22 @@ class TestValueTypes:
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             make()
 
+    # A string is not a number: each value type names the field in a
+    # ValueError rather than failing on a comparison with a TypeError.
+    @pytest.mark.parametrize("make, field", [
+        (lambda: DrxConfig("10", 2, 32, 32), "t_in"),
+        (lambda: Policy.fixed("8"), "q_w"),
+        (lambda: PoissonTraffic("0.1"), "rate"),
+        (lambda: ParetoTraffic(0.1, "1.5"), "shape"),
+        (lambda: ScheduleTraffic(((1000.0, "0.1"),)), "segment rate"),
+        (lambda: Scenario(CFG, Policy.standard(), PoissonTraffic(0.1),
+                          "1000"), "horizon"),
+    ], ids=["t_in", "q_w", "poisson_rate", "shape", "segment_rate",
+            "horizon"])
+    def test_non_numeric_field_rejected(self, make, field):
+        with pytest.raises(ValueError, match=f"^{field} must be finite.*'"):
+            make()
+
 
 class TestTraceScenario:
     def test_trace_driven_run(self, tmp_path):
@@ -432,11 +436,13 @@ class TestTraceScenario:
 
 class TestSliceStats:
     def test_full_slice_matches_metrics(self):
-        r = _result(Policy.adaptive(64, 128), rate=0.3)
-        delay, sleep, _, served = slice_stats(r, CFG, 0.0, H)
-        assert delay == pytest.approx(r.metrics.mean_delay)
-        assert sleep == pytest.approx(r.metrics.sleep_fraction)
-        assert served == r.metrics.packets_served
+        # A run's metrics are its statistics over [0, horizon), exactly.
+        for policy in (Policy.standard(), Policy.fixed(8),
+                       Policy.adaptive(64, 128)):
+            r = _result(policy, rate=0.3)
+            m = r.metrics
+            assert slice_stats(r, CFG, 0.0, H) == (
+                m.mean_delay, m.sleep_fraction, m.mean_q_w, m.packets_served)
 
     @pytest.mark.parametrize("policy", [Policy.fixed(8), Policy.adaptive(64, 128)])
     def test_partition_adds_up(self, policy):
