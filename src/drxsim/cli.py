@@ -46,7 +46,6 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
-import ctypes
 import io
 import math
 import sys
@@ -313,7 +312,7 @@ def _point_rows(spec: ExperimentSpec, policy: Policy, traffic: TrafficKind,
     for seed in spec.seeds:
         result = run_detailed(scenario, seed)
         for out, (start, end, _) in zip(per_row, windows):
-            out.append(slice_stats(result, spec.cfg, start, end)[:3])
+            out.append(slice_stats(result, start, end)[:3])
         m = result.metrics
         per_row[-1].append((m.mean_delay, m.sleep_fraction, m.mean_q_w))
         saturated = saturated or m.saturated
@@ -338,41 +337,20 @@ def _reports(spec: ExperimentSpec) -> list[Report]:
     return [t.report(spec.horizon) for t in spec.traffic]
 
 
-def _keep_freed_heap() -> bool:
-    """Ask glibc to keep the heap a run frees for the next run.
-
-    Each run allocates about 1 MB of arrays and frees them at its end.  By
-    default glibc hands the freed heap top back to the kernel after every
-    run, and the next run page-faults it back in.  The values set here are
-    where glibc's own dynamic thresholds stop on a 64-bit host: mmap above
-    32 MiB, trim above twice that.  The cost is that the process keeps its
-    high-water heap until it exits.  Returns whether the C library took
-    both settings; without ``mallopt`` it does nothing and returns False.
-    """
-    try:  # CDLL(None) is a TypeError on Windows; some C libraries lack mallopt
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, TypeError, AttributeError):
-        return False
-    took_mmap = mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-    took_trim = mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
-    return took_mmap == took_trim == 1
-
-
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[ResultRow]:
     """Execute the full sweep and return one row per grid point (in grid order).
 
     A missing or malformed trace file fails here, before any run starts.
-    The sweep's processes keep freed heap between runs (``_keep_freed_heap``).
+    Every process that simulates keeps freed heap between runs, as
+    importing ``engine`` set (``engine._keep_freed_heap``).
     """
     reported = list(zip(spec.traffic, _reports(spec)))
     points = [(p, t, r) for p in spec.policies for t, r in reported]
     policies, traffics, reports = zip(*points)
-    _keep_freed_heap()
     if jobs <= 1 or len(points) <= 1:
         results = map(_point_rows, repeat(spec), policies, traffics, reports)
     else:
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=jobs, initializer=_keep_freed_heap) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_point_rows, repeat(spec), policies,
                                     traffics, reports))
     return [row for rows in results for row in rows]

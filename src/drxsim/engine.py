@@ -28,19 +28,20 @@ convert new arrivals, doubling while it walks on and small again past a
 jump; an adaptive run's rate estimate converts all of them.  An ``inf``
 sentinel after the last arrival ends the scalar loop without an index test.
 
-Every run returns one ``RunResult``: the metrics, each served packet's
-arrival (a view of the checked input) and transmission start, and each DRX
-stretch as its enable instant (``boundaries``), threshold and end
-(``stretch_ends``: the release instant, or the horizon).  ``slice_stats``
-reads the statistics of any time window off that shape, and a run's
-metrics are its statistics over [0, horizon); the loop sums only each
-cycle's delay, for the controller.  Sleep comes from an elementwise form of
-the cycle geometry (``_sleep_in``), each term bit-identical to a
-per-stretch scalar walk.  Every sum over one run is in order
-(``_running_sum``), never Python's ``sum``, which is compensated from
-CPython 3.12 on; only ``confidence_interval`` uses numpy's pairwise
-``mean`` and ``std``.  The EMA arrival-rate estimate the adaptive
-controller reads is computed here too (``_lambda_hat_series``).
+Every run returns one ``RunResult``: the metrics, the DRX configuration
+and starting threshold, each served packet's arrival (a view of the
+checked input) and transmission start, and each DRX stretch as its enable
+instant (``boundaries``), threshold and end (``stretch_ends``: the release
+instant, or the horizon).  ``slice_stats`` reads the statistics of any
+window off that shape alone, and a run's metrics are its statistics over
+[0, horizon); the loop sums only each cycle's delay, for the controller.
+Sleep comes from an elementwise form of the cycle geometry (``_sleep_in``),
+each term bit-identical to a per-stretch scalar walk.  Every sum over one
+run is in order (``_running_sum``), never Python's ``sum``, which is
+compensated from CPython 3.12 on; only ``confidence_interval`` uses
+numpy's pairwise ``mean`` and ``std``.  The EMA arrival-rate estimate the
+adaptive controller reads is computed here too (``_lambda_hat_series``).
+Importing this module sets the process's heap policy (``_keep_freed_heap``).
 
 Timing conventions (all ms, continuous time):
 
@@ -60,6 +61,7 @@ Timing conventions (all ms, continuous time):
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 from bisect import bisect_left, bisect_right
@@ -72,6 +74,31 @@ from . import controller as ctrl
 from . import traffic as tr
 from .drx import DrxConfig, Policy, PolicyKind
 from .traffic import _check_above, _running_sum
+
+
+def _keep_freed_heap() -> bool:
+    """Ask glibc to keep the heap a run frees for the next run.
+
+    Each run allocates about 1 MB of arrays and frees them at its end; by
+    default glibc hands the freed heap top back to the kernel, and the next
+    run page-faults it back in.  The values set here are where glibc's own
+    dynamic thresholds stop on a 64-bit host: mmap above 32 MiB, trim above
+    twice that.  The cost is that the process keeps its high-water heap
+    until it exits.  Returns whether the C library took both settings;
+    without ``mallopt`` it does nothing and returns False.
+    """
+    try:  # CDLL(None) is a TypeError on Windows; some C libraries lack mallopt
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return False
+    took_mmap = mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    took_trim = mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    return took_mmap == took_trim == 1
+
+
+# Once per process: a pool worker imports this module to unpickle its task,
+# or inherits the setting by fork.
+_keep_freed_heap()
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,12 +116,8 @@ class Scenario:
 
 @dataclass(frozen=True, slots=True)
 class Metrics:
-    """Per-run outputs over [0, horizon).
-
-    The three means are ``slice_stats`` over [0, horizon), but for one
-    documented value: with no DRX stretch, ``mean_q_w`` is the threshold
-    the run started with (the policy's, or the controller's initial one).
-    """
+    """Per-run outputs over [0, horizon); the first four fields are
+    ``slice_stats`` over [0, horizon)."""
 
     mean_delay: float
     sleep_fraction: float
@@ -124,7 +147,8 @@ class SummaryStats:
 class RunResult:
     """Metrics plus the per-packet and per-stretch results of one run.
 
-    Every run returns this one shape.  Packets are served FIFO, so
+    Every run returns this one shape; ``slice_stats`` reads any window off
+    it alone.  Packets are served FIFO, so
     ``arrivals`` and ``tx_starts`` (one entry per served packet, read-only
     float64 arrays) are both sorted.  DRX stretch k runs from
     ``boundaries[k]`` to ``stretch_ends[k]``, its release instant or the
@@ -133,8 +157,11 @@ class RunResult:
     """
 
     metrics: Metrics
+    cfg: DrxConfig  # lays out each stretch's sleep
     # The run's end, ms: no window reaches past it.
     horizon: float
+    # The threshold before the first boundary (the policy's or controller's).
+    initial_threshold: float
     # DRX-enable instants (coalescing-cycle boundaries), in order.
     boundaries: tuple[float, ...]
     # Threshold in effect from each boundary on (post-update values).
@@ -146,13 +173,8 @@ class RunResult:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RunResult):
             return NotImplemented
-        return (self.metrics == other.metrics
-                and self.horizon == other.horizon
-                and self.boundaries == other.boundaries
-                and self.thresholds == other.thresholds
-                and self.stretch_ends == other.stretch_ends
-                and np.array_equal(self.arrivals, other.arrivals)
-                and np.array_equal(self.tx_starts, other.tx_starts))
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+                   for a, b in zip(vars(self).values(), vars(other).values()))
 
 
 def _sleep_in(cfg: DrxConfig, t0: np.ndarray, t_end: np.ndarray | float
@@ -314,7 +336,7 @@ def simulate(arrivals: Sequence[float] | np.ndarray | tr.ArrivalStream,
         state = ctrl.initial_state(policy.w_star, q_max)
         lam_hat = _lambda_hat_series(A, 2.0 * policy.w_max)
     A.append(math.inf)  # the sentinel: no arrival after the last
-    q_w = state.q_w if adaptive else policy.q_w
+    q_w = initial_q = state.q_w if adaptive else policy.q_w
     q_less = math.ceil(q_w) - 1  # a release waits for packet i + q_less
     # From packet i the loop reads up to A[i + reach].  A holds floats from
     # the last jump up to hi, and the next fill is due once i reaches refill.
@@ -416,18 +438,12 @@ def simulate(arrivals: Sequence[float] | np.ndarray | tr.ArrivalStream,
     tx_starts.flags.writeable = False
 
     # Every packet before i was served, and none after.
-    result = RunResult(None, horizon, tuple(boundaries), tuple(thresholds),
-                       A_arr[:i], tuple(stretch_ends), tx_starts)
-    delay, sleep, mean_q, served = slice_stats(result, cfg, 0.0, horizon)
+    result = RunResult(None, cfg, horizon, initial_q, tuple(boundaries),
+                       tuple(thresholds), A_arr[:i], tuple(stretch_ends),
+                       tx_starts)
     return replace(result, metrics=Metrics(
-        mean_delay=delay,
-        sleep_fraction=sleep,
-        mean_q_w=mean_q if thresholds else q_w,
-        packets_served=served,
-        arrivals=n,
-        saturated=(n * psf / horizon) >= 1.0,
-        per_cycle=tuple(per_cycle),
-    ))
+        *slice_stats(result, 0.0, horizon), arrivals=n,
+        saturated=(n * psf / horizon) >= 1.0, per_cycle=tuple(per_cycle)))
 
 
 def make_arrivals(traffic: tr.TrafficKind, horizon: float,
@@ -585,21 +601,23 @@ def run_replicated(
                       for m in ms], level)
 
 
-def slice_stats(result: RunResult, cfg: DrxConfig, start: float, end: float
+def slice_stats(result: RunResult, start: float, end: float
                 ) -> tuple[float, float, float, int]:
     """(mean delay, sleep fraction, mean threshold, served) over [start, end).
 
     Packets are assigned to the window by transmission start, thresholds
-    by their stretch's enable instant; ``cfg`` is the DRX configuration the
-    run used, which lays out each stretch's sleep.  The mean delay is NaN
-    with no packet served, and the mean threshold NaN with no DRX stretch
-    enabled in the window.  The window must lie in the run,
-    ``0 <= start < end <= horizon`` (``ValueError`` otherwise).
+    by their stretch's enable instant.  The mean threshold is that over the
+    stretches enabled in the window, or with none the threshold in effect
+    throughout it: the one set at the last boundary before ``start``, or
+    the run's initial one.  The controller moves only at boundaries, so
+    this is exact.  The mean delay is NaN with no packet served.  The
+    window must lie in the run, ``0 <= start < end <= horizon``
+    (``ValueError`` otherwise).
     """
     if not (0.0 <= start < end <= result.horizon):
         raise ValueError(f"window start {start!r} and end {end!r} must "
                          f"satisfy 0 <= start < end <= {result.horizon!r}")
-    tx = result.tx_starts
+    cfg, tx = result.cfg, result.tx_starts
     lo = int(np.searchsorted(tx, start, side="left"))
     hi = int(np.searchsorted(tx, end, side="left"))
     served = hi - lo
@@ -613,8 +631,10 @@ def slice_stats(result: RunResult, cfg: DrxConfig, start: float, end: float
     if first < last and result.boundaries[first] < start:
         sleep[0] -= _sleep_in(cfg, t0[0], start)
     sleep = _running_sum(0.0, sleep)
-    qs = result.thresholds[bisect_left(result.boundaries, start):last]
+    k = bisect_left(result.boundaries, start)
+    qs = result.thresholds[k:last]
     mean_delay = (_running_sum(0.0, tx[lo:hi] - result.arrivals[lo:hi]) / served
                   if served else math.nan)
-    mean_q = _running_sum(0.0, qs) / len(qs) if qs else math.nan
+    mean_q = (_running_sum(0.0, qs) / len(qs) if qs else
+              result.thresholds[k - 1] if k else result.initial_threshold)
     return mean_delay, sleep / (end - start), mean_q, served

@@ -308,6 +308,7 @@ def lindley_run(arrivals: Sequence[float], cfg: DrxConfig, policy: Policy,
         q_w = state.q_w
     else:
         q_w = policy.q_w if policy.kind is PolicyKind.FIXED_COALESCING else 1.0
+    initial_q = q_w
     tx: list[float] = []
     boundaries: list[float] = []
     thresholds: list[float] = []
@@ -361,7 +362,7 @@ def lindley_run(arrivals: Sequence[float], cfg: DrxConfig, policy: Policy,
     metrics = engine.Metrics(
         mean_delay=delay_sum / i if i else math.nan,
         sleep_fraction=sleep / horizon,
-        mean_q_w=q_sum / len(thresholds) if thresholds else q_w,
+        mean_q_w=q_sum / len(thresholds) if thresholds else initial_q,
         packets_served=i,
         arrivals=n,
         saturated=(n * psf / horizon) >= 1.0,
@@ -369,6 +370,6 @@ def lindley_run(arrivals: Sequence[float], cfg: DrxConfig, policy: Policy,
     )
     tx_starts = np.array(tx)
     tx_starts.flags.writeable = False
-    return engine.RunResult(metrics, horizon, tuple(boundaries),
-                            tuple(thresholds), np.array(A[:i]), tuple(ends),
-                            tx_starts)
+    return engine.RunResult(metrics, cfg, horizon, initial_q,
+                            tuple(boundaries), tuple(thresholds),
+                            np.array(A[:i]), tuple(ends), tx_starts)

@@ -230,7 +230,7 @@ def test_c05_segment_tracking(dynamic_runs):
     start = 0.0
     for idx, (dur, rate) in enumerate(_SEGMENTS):
         end = start + dur
-        seg = [slice_stats(r, CFG, start + 2000.0, end)[0] for r in dynamic_runs]
+        seg = [slice_stats(r, start + 2000.0, end)[0] for r in dynamic_runs]
         mean = _mean(seg)
         assert abs(mean - _W_DYN) <= 0.25 * _W_DYN, (
             f"segment {idx} (rate {rate}): mean delay {mean:.2f} ms outside "

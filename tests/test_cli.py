@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import io
+import math
 import operator
 import os
 import platform
@@ -305,6 +306,20 @@ class TestRunExperiment:
         run_experiment(spec)
         assert calls == {"run_detailed": points * len(spec.seeds), "run": 0}
 
+    def test_segment_without_drx_reports_threshold_in_effect(self):
+        # At 0.95 packets/ms DRX is never enabled in the middle segment of
+        # some seeds; its rows report the threshold in effect, not NaN.
+        text = ("[run]\nhorizon = 15000\nseeds = 1 2 3\n\n[traffic]\n"
+                "kind = schedule\nsegments = 5000:0.1 5000:0.95 5000:0.1\n\n"
+                "[policies]\nfixed = 8\nadaptive = 64:128\n")
+        rows = run_experiment(parse_spec(text))
+        fixed, adaptive = rows[1], rows[5]
+        assert fixed.scenario == adaptive.scenario == "schedule[1]:5-10s"
+        assert (fixed.mean_qw, fixed.ci_qw) == (8.0, 0.0)
+        assert 1.0 <= adaptive.mean_qw <= 128.0
+        assert all(math.isfinite(r.mean_qw) and math.isfinite(r.ci_qw)
+                   for r in rows)
+
     def test_parallel_jobs_match_serial(self):
         schedule = ("[run]\nhorizon = 3000\nseeds = 1 2\n\n[traffic]\n"
                     "kind = schedule\nsegments = 1500:0.2 1500:0.5\n\n"
@@ -562,7 +577,7 @@ class TestKeepFreedHeap:
     def test_glibc_takes_both_settings(self):
         # mallopt returns 0 for a setting it rejects, such as parameter 1
         # (M_MXFAST, a dropped minus sign) at 64 MiB.
-        assert cli._keep_freed_heap() is True
+        assert engine._keep_freed_heap() is True
 
     @pytest.mark.parametrize("cdll", [
         pytest.param(_no_c_library, id="no-handle"),
@@ -571,8 +586,8 @@ class TestKeepFreedHeap:
     def test_sweep_runs_without_mallopt(self, monkeypatch, cdll):
         spec = parse_spec("[run]\nhorizon = 2000\n\n" + MINIMAL)
         expected = run_experiment(spec)
-        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
-        assert cli._keep_freed_heap() is False
+        monkeypatch.setattr(engine.ctypes, "CDLL", cdll)
+        assert engine._keep_freed_heap() is False
         assert run_experiment(spec) == expected
 
     @pytest.mark.skipif(not _GLIBC, reason="mallopt is glibc's")
@@ -589,6 +604,26 @@ class TestKeepFreedHeap:
                 "run_experiment(spec)\n"
                 "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
                 "run_experiment(spec)\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt"
+                " - before)\n")
+        out = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                             check=True, capture_output=True, text=True).stdout
+        assert int(out) < 400
+
+    @pytest.mark.skipif(not _GLIBC, reason="mallopt is glibc's")
+    def test_library_runs_do_not_fault_their_heap_back_in(self):
+        # Importing the engine sets the heap policy, so a library caller
+        # outside any sweep keeps it too: without it these four runs take
+        # over 1,000 minor page faults, with it a few dozen.
+        code = ("import resource\n"
+                "from drxsim import (DrxConfig, Policy, PoissonTraffic,"
+                " Scenario, run)\n"
+                "sc = Scenario(DrxConfig(10, 2, 32, 32), Policy.standard(),"
+                " PoissonTraffic(0.9), 25000.0)\n"
+                "run(sc, 1)\n"
+                "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                "for seed in (1, 2, 3, 4):\n"
+                "    run(sc, seed)\n"
                 "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt"
                 " - before)\n")
         out = subprocess.run([sys.executable, "-c", code], env=_src_env(),

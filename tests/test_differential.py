@@ -23,7 +23,8 @@ recursion and its premise, that no packet starts before its no-DRX
 start.  ``test_sleep_in_matches_scalar_walk`` checks that the elementwise
 sleep layout matches the scalar walk bit for bit, and
 ``test_slice_stats_matches_scalar_walk`` that a window's statistics match
-in-order scalar sums over its packets, stretches and thresholds.
+in-order scalar sums over its packets, stretches and thresholds, and a
+window with no stretch the threshold in effect throughout it.
 """
 
 from __future__ import annotations
@@ -159,7 +160,8 @@ def _bits(value):
 
 
 def _bits_of(r):
-    return _bits((dataclasses.astuple(r.metrics), r.boundaries, r.thresholds,
+    return _bits((dataclasses.astuple(r.metrics), r.cfg, r.horizon,
+                  r.initial_threshold, r.boundaries, r.thresholds,
                   r.arrivals.tolist(), r.tx_starts.tolist(), r.stretch_ends))
 
 
@@ -353,13 +355,16 @@ def _slice_reference(r, cfg, start, end):
         if e > start and b < end:
             sleep += (sleep_between(cfg, b, min(e, end))
                       - sleep_between(cfg, b, start))
-    q_sum, count = 0.0, 0
+    # With no stretch enabled in the window, the threshold in effect.
+    q_sum, count, in_effect = 0.0, 0, r.initial_threshold
     for b, q in zip(r.boundaries, r.thresholds):
         if start <= b < end:
             q_sum += q
             count += 1
+        elif b < start:
+            in_effect = q
     return (delay / served if served else math.nan, sleep / (end - start),
-            q_sum / count if count else math.nan, served)
+            q_sum / count if count else in_effect, served)
 
 
 @st.composite
@@ -393,5 +398,5 @@ def test_slice_stats_matches_scalar_walk(data, arrivals, timers, policy):
     edges = data.draw(st.lists(window_edges(r, cfg), min_size=2, max_size=2,
                                unique=True))
     start, end = sorted(edges)
-    assert (_bits(engine.slice_stats(r, cfg, start, end))
+    assert (_bits(engine.slice_stats(r, start, end))
             == _bits(_slice_reference(r, cfg, start, end)))

@@ -10,6 +10,7 @@ the event-by-event state machine of ``tests/drx_reference.py`` is
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import operator
@@ -18,9 +19,10 @@ from bisect import bisect_left, bisect_right
 import numpy as np
 import pytest
 
+from drxsim import controller as ctrl
 from drxsim import engine, traffic
 from drxsim.cli import parse_spec, run_experiment
-from drxsim.drx import DrxConfig, Policy
+from drxsim.drx import DrxConfig, Policy, PolicyKind
 from drxsim.engine import (
     Metrics,
     Scenario,
@@ -52,8 +54,14 @@ def _result(policy, rate=0.3, seed=1, horizon=H, cfg=CFG):
 
 def _fields(r):
     # Every field of a RunResult, the per-packet arrays as float lists.
-    return (r.metrics, r.boundaries, r.thresholds, r.arrivals.tolist(),
-            r.tx_starts.tolist(), r.stretch_ends)
+    return (r.metrics, r.cfg, r.horizon, r.initial_threshold, r.boundaries,
+            r.thresholds, r.arrivals.tolist(), r.tx_starts.tolist(),
+            r.stretch_ends)
+
+
+def _bits(values):
+    # Floats as their exact hex forms, so NaN equals NaN and -0.0 is not 0.0.
+    return [v.hex() if isinstance(v, float) else v for v in values]
 
 
 class TestStructuralInvariants:
@@ -131,6 +139,13 @@ class TestDeterminism:
     def test_bit_identical_records(self):
         sc = _scenario(Policy.fixed(8), rate=0.4)
         assert run_detailed(sc, 7) == run_detailed(sc, 7)
+
+    def test_records_compare_every_field(self):
+        r = _result(Policy.fixed(8), rate=0.4)
+        other_cfg = DrxConfig(t_in=10, t_on=2, t_short=32, t_long=64)
+        for changed in (dict(cfg=other_cfg), dict(initial_threshold=9.0),
+                        dict(horizon=H - 1.0), dict(tx_starts=r.tx_starts + 1)):
+            assert dataclasses.replace(r, **changed) != r
 
     def test_seeds_differ(self):
         sc = _scenario(Policy.fixed(8), rate=0.4)
@@ -266,7 +281,7 @@ class TestMetricsFields:
         assert in_order(qs) != math.fsum(qs)
         assert in_order(delays) != math.fsum(delays)
         assert r.metrics.mean_q_w == in_order(qs) / len(qs)
-        delay, _, mean_q, served = slice_stats(r, CFG, 0.0, 1900.0)
+        delay, _, mean_q, served = slice_stats(r, 0.0, 1900.0)
         assert (delay, mean_q, served) == (in_order(delays) / len(delays),
                                            in_order(qs) / len(qs), len(delays))
 
@@ -282,10 +297,11 @@ class TestMetricsFields:
         m = r.metrics
         assert m.sleep_fraction == 0.0
         assert m.per_cycle == ()
-        # With no DRX stretch a window has no threshold to average, while
-        # the run reports the policy's own.
-        assert m.mean_q_w == 3.0
-        assert math.isnan(slice_stats(r, cfg, 0.0, H)[2])
+        # With no DRX stretch, the run and every window of it report the
+        # threshold in effect throughout: the policy's own.
+        assert r.initial_threshold == m.mean_q_w == 3.0
+        assert slice_stats(r, 0.0, H)[2] == 3.0
+        assert slice_stats(r, 0.25 * H, 0.5 * H)[2] == 3.0
 
     def test_empty_traffic(self):
         r = simulate([], CFG, Policy.standard(), 1000.0)
@@ -436,13 +452,42 @@ class TestTraceScenario:
 
 class TestSliceStats:
     def test_full_slice_matches_metrics(self):
-        # A run's metrics are its statistics over [0, horizon), exactly.
+        # A run's metrics are its statistics over [0, horizon), bit for
+        # bit: also with no packet (NaN delay) and with no DRX stretch.
+        never_on = DrxConfig(t_in=1e6, t_on=2, t_short=32, t_long=32)
         for policy in (Policy.standard(), Policy.fixed(8),
                        Policy.adaptive(64, 128)):
-            r = _result(policy, rate=0.3)
-            m = r.metrics
-            assert slice_stats(r, CFG, 0.0, H) == (
-                m.mean_delay, m.sleep_fraction, m.mean_q_w, m.packets_served)
+            runs = (_result(policy, rate=0.3), simulate([], CFG, policy, H),
+                    _result(policy, rate=0.5, cfg=never_on))
+            assert runs[2].boundaries == ()
+            for r in runs:
+                m = r.metrics
+                assert _bits(slice_stats(r, 0.0, H)) == _bits(
+                    (m.mean_delay, m.sleep_fraction, m.mean_q_w,
+                     m.packets_served))
+                assert math.isfinite(m.mean_q_w)
+
+    @pytest.mark.parametrize("policy,initial", [
+        (Policy.fixed(8), 8.0),
+        (Policy.adaptive(64, 128),
+         ctrl.initial_state(64, ctrl.q_max_from_bound(128, 1.0)).q_w),
+    ])
+    def test_window_without_stretch_reports_threshold_in_effect(
+            self, policy, initial):
+        # Before the first boundary the run's initial threshold governs;
+        # between stretch k's end and stretch k+1's enable instant, the
+        # threshold set at boundary k.
+        r = _result(policy, rate=0.05)
+        assert r.initial_threshold == initial
+        assert slice_stats(r, 0.0, r.boundaries[0])[2] == initial
+        gaps = [k for k in range(len(r.boundaries) - 1)
+                if r.stretch_ends[k] < r.boundaries[k + 1]]
+        assert len(gaps) > 10
+        for k in gaps:
+            window = (r.stretch_ends[k], r.boundaries[k + 1])
+            assert slice_stats(r, *window)[2] == r.thresholds[k]
+        if policy.kind is PolicyKind.ADAPTIVE_COALESCING:
+            assert len({r.thresholds[k] for k in gaps}) > 10
 
     @pytest.mark.parametrize("policy", [Policy.fixed(8), Policy.adaptive(64, 128)])
     def test_partition_adds_up(self, policy):
@@ -456,7 +501,7 @@ class TestSliceStats:
         cuts = sorted({b + off for b, e in stretches[::5]
                        for off in (3.0, 7.0, (e - b) / 2)})
         edges = [0.0, *cuts, H]
-        windows = [slice_stats(r, cfg, lo, hi) + (hi - lo,)
+        windows = [slice_stats(r, lo, hi) + (hi - lo,)
                    for lo, hi in zip(edges, edges[1:])]
         m = r.metrics
         assert sum(w[3] for w in windows) == m.packets_served
@@ -473,13 +518,13 @@ class TestSliceStats:
     def test_window_outside_run_rejected(self, start, end):
         r = _result(Policy.fixed(8))
         with pytest.raises(ValueError, match=f"start {start!r} and end {end!r}"):
-            slice_stats(r, CFG, start, end)
+            slice_stats(r, start, end)
 
     def test_window_may_end_at_horizon(self):
         # cli's last window ends at the horizon exactly; it sees the run.
         r = _result(Policy.fixed(8), rate=0.1)
         assert r.horizon == H
-        assert slice_stats(r, CFG, 0.0, H)[1] == r.metrics.sleep_fraction
+        assert slice_stats(r, 0.0, H)[1] == r.metrics.sleep_fraction
 
 
 class TestSchedules:
