@@ -16,7 +16,6 @@ from .engine import (
     confidence_interval,
     run,
     run_detailed,
-    run_replicated,
     simulate,
 )
 from .traffic import (

@@ -55,7 +55,7 @@ from itertools import repeat
 from . import analytic
 from . import controller as ctrl
 from .drx import DrxConfig, Policy, PolicyKind
-from .engine import Scenario, run_detailed, slice_stats, summarize
+from .engine import Scenario, confidence_interval, run_detailed, slice_stats
 from .traffic import (
     ParetoTraffic,
     PoissonTraffic,
@@ -114,7 +114,7 @@ class ExperimentSpec:
 class ResultRow:
     scenario: str
     policy: str
-    rate: float | None
+    rate: float
     q_w: float | None
     w_star: float | None
     mean_delay_ms: float
@@ -301,21 +301,21 @@ def _point_rows(spec: ExperimentSpec, policy: Policy, traffic: TrafficKind,
                 report: Report) -> list[ResultRow]:
     """The rows of one grid point: one per window its traffic reports (the
     last ends the run), then the whole run's.  Each seed's run is read for
-    every row before the next seed runs."""
+    every row before the next seed runs.  A row is saturated when its own
+    rate is at least one packet per service time, the load at which the
+    model's queue is unstable (``analytic.TrafficMoments``)."""
     label, overall_rate, windows = report
     horizon = windows[-1][1] if windows else spec.horizon
     scenario = Scenario(spec.cfg, policy, traffic, horizon, spec.psf)
 
     # Per-seed (delay, sleep, q_w) of each row: the windows', then the run's.
     per_row: list[list[tuple]] = [[] for _ in range(len(windows) + 1)]
-    saturated = False
     for seed in spec.seeds:
         result = run_detailed(scenario, seed)
         for out, (start, end, _) in zip(per_row, windows):
             out.append(slice_stats(result, start, end)[:3])
         m = result.metrics
         per_row[-1].append((m.mean_delay, m.sleep_fraction, m.mean_q_w))
-        saturated = saturated or m.saturated
         del result  # one run's output at a time: not alive during the next
     q_col = (None if policy.kind is PolicyKind.ADAPTIVE_COALESCING
              else policy.q_w)
@@ -324,11 +324,12 @@ def _point_rows(spec: ExperimentSpec, policy: Policy, traffic: TrafficKind,
     heads.append((label, overall_rate))
     rows = []
     for (scenario_id, rate), per_seed in zip(heads, per_row):
-        delay, sleep, qw = summarize(per_seed, spec.confidence)
+        delay, sleep, qw = (confidence_interval(col, spec.confidence)
+                            for col in zip(*per_seed))
         rows.append(ResultRow(
             scenario_id, policy.kind.value, rate, q_col, policy.w_star,
             delay.mean, delay.ci_half_width, sleep.mean, sleep.ci_half_width,
-            qw.mean, qw.ci_half_width, saturated,
+            qw.mean, qw.ci_half_width, rate * spec.psf >= 1.0,
         ))
     return rows
 

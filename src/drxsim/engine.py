@@ -47,7 +47,7 @@ Timing conventions (all ms, continuous time):
 
 * The run observes [0, horizon): arrivals at or after the horizon are
   dropped and count nowhere; transmissions starting at or after the
-  horizon never happen and their packets stay queued (residual backlog).
+  horizon never happen and their packets stay queued.
 * The inactivity deadline is measured from the end of the last transmission;
   at t = 0 the UE behaves as if a transmission had just ended.
 * A DRX cycle sleeps first and closes with its on-duration.  Release fires
@@ -124,15 +124,12 @@ class Metrics:
     mean_q_w: float
     packets_served: int
     arrivals: int
-    saturated: bool
-    # One entry per completed coalescing cycle: (mean delay of the packets
-    # that started transmission in the cycle, or None if it served nothing;
-    # the threshold that governed the cycle).
+    # One entry per coalescing cycle k, which ends at boundary b[k] and is
+    # the window [b[k-1], b[k]) (b[-1] = 0): (that window's ``slice_stats``
+    # mean delay, bit for bit, or None if the window is empty or serves no
+    # packet; the threshold that governed it, ``(initial_threshold,) +
+    # thresholds`` at k).
     per_cycle: tuple[tuple[float | None, float], ...]
-
-    @property
-    def residual_backlog(self) -> int:
-        return self.arrivals - self.packets_served
 
 
 @dataclass(frozen=True, slots=True)
@@ -443,7 +440,7 @@ def simulate(arrivals: Sequence[float] | np.ndarray | tr.ArrivalStream,
                        tx_starts)
     return replace(result, metrics=Metrics(
         *slice_stats(result, 0.0, horizon), arrivals=n,
-        saturated=(n * psf / horizon) >= 1.0, per_cycle=tuple(per_cycle)))
+        per_cycle=tuple(per_cycle)))
 
 
 def make_arrivals(traffic: tr.TrafficKind, horizon: float,
@@ -579,26 +576,6 @@ def _beta_cf(a: float, b: float, x: float) -> float:
             return 1.0 / f
     raise ArithmeticError(f"incomplete beta fraction did not converge "
                           f"(a {a}, b {b}, x {x})")
-
-
-def summarize(per_seed: Sequence[tuple[float, float, float]], level: float
-              ) -> tuple[SummaryStats, SummaryStats, SummaryStats]:
-    """Intervals over per-seed (mean delay, sleep fraction, mean q_w) triples."""
-    delay, sleep, q_w = zip(*per_seed)
-    return (confidence_interval(delay, level),
-            confidence_interval(sleep, level),
-            confidence_interval(q_w, level))
-
-
-def run_replicated(
-    scenario: Scenario, seeds: Sequence[int], level: float = 0.95
-) -> tuple[SummaryStats, SummaryStats, SummaryStats]:
-    """Replicated runs summarised as (mean delay, sleep fraction, mean q_w)."""
-    if len(seeds) < 2:
-        raise ValueError(f"need at least 2 seeds, got {len(seeds)}")
-    ms = [run(scenario, s) for s in seeds]
-    return summarize([(m.mean_delay, m.sleep_fraction, m.mean_q_w)
-                      for m in ms], level)
 
 
 def slice_stats(result: RunResult, start: float, end: float

@@ -365,7 +365,6 @@ def lindley_run(arrivals: Sequence[float], cfg: DrxConfig, policy: Policy,
         mean_q_w=q_sum / len(thresholds) if thresholds else initial_q,
         packets_served=i,
         arrivals=n,
-        saturated=(n * psf / horizon) >= 1.0,
         per_cycle=tuple(per_cycle),
     )
     tx_starts = np.array(tx)

@@ -320,6 +320,25 @@ class TestRunExperiment:
         assert all(math.isfinite(r.mean_qw) and math.isfinite(r.ci_qw)
                    for r in rows)
 
+    def test_saturation_flag(self):
+        text = ("[run]\nhorizon = 5000\nseeds = 1 2\n\n[traffic]\n"
+                "kind = poisson\nrates = 1.2 0.5\n\n[policies]\n"
+                "standard = on\n")
+        assert [(r.rate, r.saturated)
+                for r in run_experiment(parse_spec(text))] == [
+            (1.2, True), (0.5, False)]
+
+    def test_saturated_segment_reads_its_own_rate(self):
+        # Each row's flag is its own rate's: only the rate-1.2 segment is
+        # saturated, not the whole run or the segments around it.
+        text = ("[run]\nhorizon = 15000\nseeds = 1 2\n\n[traffic]\n"
+                "kind = schedule\nsegments = 5000:0.1 5000:1.2 5000:0.1\n\n"
+                "[policies]\nfixed = 8\n")
+        rows = run_experiment(parse_spec(text))
+        assert [(r.scenario, r.saturated) for r in rows] == [
+            ("schedule[0]:0-5s", False), ("schedule[1]:5-10s", True),
+            ("schedule[2]:10-15s", False), ("schedule:overall", False)]
+
     def test_parallel_jobs_match_serial(self):
         schedule = ("[run]\nhorizon = 3000\nseeds = 1 2\n\n[traffic]\n"
                     "kind = schedule\nsegments = 1500:0.2 1500:0.5\n\n"
@@ -568,8 +587,38 @@ def test_import_loads_no_scipy():
 _GLIBC = platform.libc_ver()[0] == "glibc"
 
 
-def _no_c_library(name):
-    raise OSError(f"cannot load {name!r}")
+# A child process that sweeps a small spec and prints how often importing
+# drxsim called ``ctypes.CDLL`` and whether the heap policy takes, then the
+# CSV.  ``patch`` runs before drxsim is imported (numpy is already).
+_CHILD_SWEEP = """\
+import ctypes, io
+import numpy
+loads = []
+{patch}
+from drxsim import engine
+from drxsim.cli import emit_csv, parse_spec, run_experiment
+at_import = len(loads)
+buf = io.StringIO()
+emit_csv(run_experiment(parse_spec({spec!r})), buf)
+print(at_import, engine._keep_freed_heap())
+print(buf.getvalue(), end="")
+"""
+_FAKE_CDLL = """\
+def fake(name, *args, **kwargs):
+    loads.append(name)
+    {body}
+ctypes.CDLL = fake
+"""
+
+
+@functools.lru_cache(maxsize=None)
+def _child_sweep(patch: str) -> tuple[str, str]:
+    spec = "[run]\nhorizon = 2000\n\n" + MINIMAL
+    out = subprocess.run(
+        [sys.executable, "-c", _CHILD_SWEEP.format(patch=patch, spec=spec)],
+        env=_src_env(), check=True, capture_output=True, text=True).stdout
+    status, csv_text = out.split("\n", 1)
+    return status, csv_text
 
 
 class TestKeepFreedHeap:
@@ -579,16 +628,17 @@ class TestKeepFreedHeap:
         # (M_MXFAST, a dropped minus sign) at 64 MiB.
         assert engine._keep_freed_heap() is True
 
-    @pytest.mark.parametrize("cdll", [
-        pytest.param(_no_c_library, id="no-handle"),
-        pytest.param(lambda name: object(), id="no-mallopt"),
+    @pytest.mark.parametrize("body", [
+        pytest.param("raise OSError(f'cannot load {name!r}')", id="no-handle"),
+        pytest.param("return object()", id="no-mallopt"),
     ])
-    def test_sweep_runs_without_mallopt(self, monkeypatch, cdll):
-        spec = parse_spec("[run]\nhorizon = 2000\n\n" + MINIMAL)
-        expected = run_experiment(spec)
-        monkeypatch.setattr(engine.ctypes, "CDLL", cdll)
-        assert engine._keep_freed_heap() is False
-        assert run_experiment(spec) == expected
+    def test_sweep_runs_without_mallopt(self, body):
+        # A C library without mallopt, from before drxsim is imported: the
+        # import-time call finds none, sets nothing, and the sweep's CSV is
+        # the one a normal process writes.
+        status, csv_text = _child_sweep(_FAKE_CDLL.format(body=body))
+        assert status == "1 False"
+        assert csv_text == _child_sweep("")[1]
 
     @pytest.mark.skipif(not _GLIBC, reason="mallopt is glibc's")
     def test_repeated_sweep_does_not_fault_its_heap_back_in(self):
@@ -632,8 +682,8 @@ class TestKeepFreedHeap:
 
 
 def test_readme_quickstart_runs():
-    # The README's library quickstart, as written.  No sweep calls run or
-    # run_replicated, so this is the check on that documented path.
+    # The README's library quickstart, as written.  No sweep calls run, so
+    # this is the check on that documented path.
     readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
     with open(readme, encoding="utf-8") as fh:
         text = fh.read()

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 import operator
 from bisect import bisect_left, bisect_right
@@ -29,7 +30,6 @@ from drxsim.engine import (
     confidence_interval,
     run,
     run_detailed,
-    run_replicated,
     simulate,
     slice_stats,
 )
@@ -72,8 +72,14 @@ class TestStructuralInvariants:
         r = _result(policy)
         m = r.metrics
         assert m.packets_served == len(r.tx_starts)
-        assert m.arrivals == m.packets_served + m.residual_backlog
-        assert m.residual_backlog >= 0
+        # Every arrival before the horizon is counted; the served ones are
+        # its first packets_served, and the rest stay queued.
+        stream = engine.make_arrivals(PoissonTraffic(0.3), H, 1).arrivals
+        assert m.arrivals == np.searchsorted(stream, H)
+        assert m.packets_served <= m.arrivals
+        assert np.array_equal(r.arrivals, stream[:m.packets_served])
+        over = run(_scenario(policy, rate=1.2, horizon=5000.0), 1)
+        assert over.packets_served < over.arrivals
 
     @pytest.mark.parametrize("policy", [Policy.standard(), Policy.fixed(8)])
     def test_fifo_order(self, policy):
@@ -253,11 +259,33 @@ class TestMetricsFields:
         assert any(w is not None for w, _ in m.per_cycle)
 
     def test_per_cycle_thresholds_match(self):
-        r = _result(Policy.adaptive(64, 128), rate=0.4)
-        # per_cycle[i] records the threshold that governed cycle i, which is
-        # the post-update value at the previous boundary.
-        govern = [q for _, q in r.metrics.per_cycle]
-        assert govern[1:] == list(r.thresholds[: len(govern) - 1])
+        # per_cycle[k] is cycle k's window [b[k-1], b[k]) (b[-1] = 0): its
+        # delay is that window's slice_stats mean, bit for bit (None where
+        # the window is empty or serves nothing), and its threshold the one
+        # in effect there, the post-update value at the previous boundary.
+        # With t_in 0 the first boundary is at 0, an empty first window; at
+        # 0.05 the first arrival comes after t_in 10, an unserved one.
+        short = DrxConfig(t_in=0, t_on=2, t_short=8, t_long=32, n_short=3)
+        windows = {"empty": 0, "unserved": 0}
+        for cfg, psf, policy, rate in itertools.product(
+                (CFG, short), (1.0, 0.7),
+                (Policy.standard(), Policy.fixed(2.5),
+                 Policy.adaptive(64, 128)), (0.05, 0.4)):
+            r = run_detailed(Scenario(cfg, policy, PoissonTraffic(rate),
+                                      10000.0, psf), 1)
+            b = r.boundaries
+            assert len(r.metrics.per_cycle) == len(b) > 10
+            for k, (w, q) in enumerate(r.metrics.per_cycle):
+                start = b[k - 1] if k else 0.0
+                if start == b[k]:
+                    windows["empty"] += 1
+                    delay = math.nan
+                else:
+                    delay = slice_stats(r, start, b[k])[0]
+                    windows["unserved"] += math.isnan(delay)
+                assert w == (None if math.isnan(delay) else delay)
+                assert q == ((r.initial_threshold,) + r.thresholds)[k]
+        assert windows["empty"] and windows["unserved"]
 
     def test_float_means_add_in_order(self):
         # Python's sum() is compensated from CPython 3.12 on.  Every mean
@@ -285,12 +313,6 @@ class TestMetricsFields:
         assert (delay, mean_q, served) == (in_order(delays) / len(delays),
                                            in_order(qs) / len(qs), len(delays))
 
-    def test_saturation_flag(self):
-        m = run(_scenario(Policy.standard(), rate=1.2, horizon=5000.0), 1)
-        assert m.saturated
-        assert m.residual_backlog > 0
-        assert not run(_scenario(Policy.standard(), rate=0.5), 1).saturated
-
     def test_never_enabled_drx(self):
         cfg = DrxConfig(t_in=1e6, t_on=2, t_short=32, t_long=32)
         r = _result(Policy.fixed(3), rate=0.5, cfg=cfg)
@@ -315,13 +337,11 @@ class TestMetricsFields:
     def test_arrival_at_horizon_is_outside_the_run(self):
         # The run observes [0, horizon): an arrival at 1000 is not counted.
         r = simulate([50.0, 1000.0], CFG, Policy.standard(), 1000.0)
-        assert r.metrics.arrivals == 1
-        assert r.metrics.residual_backlog == 0
+        assert r.metrics.arrivals == r.metrics.packets_served == 1
         # One at 999.5 is, and waits for a window past the horizon.
         r = simulate([50.0, 999.5, 1000.0], CFG, Policy.standard(), 1000.0)
         assert r.metrics.arrivals == 2
         assert r.metrics.packets_served == 1
-        assert r.metrics.residual_backlog == 1
 
     @pytest.mark.parametrize("arrivals", [
         [1.0, math.nan, 2.0], [math.nan], [1.0, 2.0, math.inf],
@@ -536,29 +556,18 @@ class TestSchedules:
         assert hi > 3 * lo / 2  # second segment is five times as fast
 
 
-class TestReplication:
-    def test_identical_seeds_zero_halfwidth(self):
-        sc = _scenario(Policy.fixed(8), rate=0.3, horizon=5000.0)
-        delay, sleep, qw = run_replicated(sc, [4] * 10)
-        assert delay.ci_half_width == 0.0
-        assert sleep.ci_half_width == 0.0
-        assert qw.ci_half_width == 0.0
-
-    def test_single_seed_rejected(self):
-        with pytest.raises(ValueError):
-            run_replicated(_scenario(Policy.standard()), [1])
-
-    def test_distinct_seeds(self):
-        sc = _scenario(Policy.fixed(8), rate=0.3, horizon=5000.0)
-        delay, _, _ = run_replicated(sc, range(1, 6))
-        assert delay.n == 5
-        assert delay.ci_half_width > 0.0
-
-
 class TestConfidenceInterval:
     def test_constant_samples(self):
         s = confidence_interval([1.0, 1.0, 1.0, 1.0], 0.95)
         assert s.mean == 1.0 and s.ci_half_width == 0.0
+        # Replications that cannot differ (one seed repeated) give exactly
+        # 0, even where the mean of ten copies rounds away from the sample
+        # (2.834747652200631 averages to 2.8347476522006305).
+        m = run(_scenario(Policy.fixed(8), rate=0.3, horizon=5000.0), 4)
+        for sample in (m.mean_delay, m.sleep_fraction, m.mean_q_w,
+                       2.834747652200631):
+            s = confidence_interval([sample] * 10, 0.95)
+            assert (s.n, s.ci_half_width) == (10, 0.0)
 
     def test_two_samples_hand_value(self):
         # mean 1, s = sqrt(2), t(1, 0.975) = tan(0.475 pi) = 12.7062047...:
@@ -573,6 +582,7 @@ class TestConfidenceInterval:
         s = confidence_interval(samples, 0.95)
         # t_{9, 0.975} from the regularized incomplete beta at 30 digits
         expected = 2.2621571627982055 * statistics.stdev(samples) / math.sqrt(10)
+        assert s.n == 10
         assert s.ci_half_width == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("samples", [
@@ -625,8 +635,9 @@ class TestConfidenceInterval:
             engine._beta_cf(4.5, 0.5, 0.6)
 
     def test_preconditions(self):
-        with pytest.raises(ValueError):
-            confidence_interval([1.0], 0.95)
+        for samples in ([], [1.0]):
+            with pytest.raises(ValueError, match="at least 2 samples"):
+                confidence_interval(samples, 0.95)
         with pytest.raises(ValueError):
             confidence_interval([1.0, 2.0], 1.5)
         with pytest.raises(ValueError):
