@@ -39,8 +39,8 @@ Sleep comes from an elementwise form of the cycle geometry (``_sleep_in``),
 each term bit-identical to a per-stretch scalar walk.  Every sum over one
 run is in order (``_running_sum``), never Python's ``sum``, which is
 compensated from CPython 3.12 on; only ``confidence_interval`` uses
-numpy's pairwise ``mean`` and ``std``.  The EMA arrival-rate estimate the
-adaptive controller reads is computed here too (``_lambda_hat_series``).
+numpy's pairwise ``mean`` and ``std``.  The adaptive controller's EMA rate
+estimate is carried here from boundary to boundary (``_lambda_hat_series``).
 Importing this module sets the process's heap policy (``_keep_freed_heap``).
 
 Timing conventions (all ms, continuous time):
@@ -203,8 +203,10 @@ def _sleep_in(cfg: DrxConfig, t0: np.ndarray, t_end: np.ndarray | float
     return np.where(span > 0.0, sleep, 0.0)
 
 
-def _lambda_hat_series(arrivals: Sequence[float], k_ema: float) -> list[float]:
-    """EMA arrival-rate estimate after each arrival; 0.0 means "none yet".
+def _lambda_hat_series(A: Sequence[float], lo: int, hi: int, est: float,
+                       k_ema: float) -> float:
+    """The EMA arrival-rate estimate ``est`` carried over ``A[lo:hi]``,
+    ``lo >= 1``; 0.0 means "none yet".
 
     The first positive gap sets the estimate to ``1/gap``; each later one
     updates it to ``(1 - w) / gap + w * lambda_hat`` with
@@ -213,21 +215,17 @@ def _lambda_hat_series(arrivals: Sequence[float], k_ema: float) -> list[float]:
     a fluid average whatever the packetization.  Zero gaps (tied
     timestamps) leave the estimate unchanged.
     """
-    out = [0.0] * len(arrivals)
-    est = 0.0
-    prev = -1.0
-    for idx, a in enumerate(arrivals):
-        if idx > 0:
-            gap = a - prev
-            if gap > 0.0:
-                if est == 0.0:
-                    est = 1.0 / gap
-                else:
-                    w = math.exp(-gap / k_ema)
-                    est = (1.0 - w) / gap + w * est
-        out[idx] = est
+    prev = A[lo - 1]
+    for a in A[lo:hi]:
+        gap = a - prev
+        if gap > 0.0:
+            if est == 0.0:
+                est = 1.0 / gap
+            else:
+                w = math.exp(-gap / k_ema)
+                est = (1.0 - w) / gap + w * est
         prev = a
-    return out
+    return est
 
 
 # Each active stretch serves its first _SCALAR_HEAD packets in the scalar
@@ -331,7 +329,8 @@ def simulate(arrivals: Sequence[float] | np.ndarray | tr.ArrivalStream,
     if adaptive:
         q_max = ctrl.q_max_from_bound(policy.w_max, psf)
         state = ctrl.initial_state(policy.w_star, q_max)
-        lam_hat = _lambda_hat_series(A, 2.0 * policy.w_max)
+        # The rate estimate after arrival lam_at - 1, carried at boundaries.
+        k_ema, lam_hat, lam_at = 2.0 * policy.w_max, 0.0, 1
     A.append(math.inf)  # the sentinel: no arrival after the last
     q_w = initial_q = state.q_w if adaptive else policy.q_w
     q_less = math.ceil(q_w) - 1  # a release waits for packet i + q_less
@@ -372,10 +371,13 @@ def simulate(arrivals: Sequence[float] | np.ndarray | tr.ArrivalStream,
                 break
             w_hat = c_dsum / (i - c_first) if i > c_first else None
             cycle_add((w_hat, q_w))
-            if adaptive and i > c_first and lam_hat[i - 1] > 0.0:
-                state = ctrl.update_threshold(state, lam_hat[i - 1], w_hat)
-                q_w = state.q_w
-                q_less = math.ceil(q_w) - 1
+            if adaptive and i > c_first:
+                lam_hat = _lambda_hat_series(A, lam_at, i, lam_hat, k_ema)
+                lam_at = i
+                if lam_hat > 0.0:
+                    state = ctrl.update_threshold(state, lam_hat, w_hat)
+                    q_w = state.q_w
+                    q_less = math.ceil(q_w) - 1
             bound_add(expiry)
             thresh_add(q_w)
             c_dsum = 0.0

@@ -274,7 +274,8 @@ def load_trace(text: str) -> ArrivalStream:
     One arrival per line: ``timestamp_ms`` optionally followed by
     ``,size_bytes``.  Lines starting with ``#`` and blank lines are skipped.
     Timestamps are decimal milliseconds and must be nondecreasing.  The size
-    column is accepted and ignored (service is one PSF per packet regardless).
+    column, ASCII digits only, is checked and ignored (service is one PSF per
+    packet regardless).
     Empty input gives an empty stream.
     """
     arrivals: list[float] = []
@@ -294,13 +295,9 @@ def load_trace(text: str) -> ArrivalStream:
             raise TraceFormatError(
                 f"bad timestamp {fields[0]!r}", lineno
             ) from None
-        if len(fields) == 2:
-            try:
-                int(fields[1])
-            except ValueError:
-                raise TraceFormatError(
-                    f"bad size field {fields[1]!r}", lineno
-                ) from None
+        if len(fields) == 2 and not (
+                fields[1].isascii() and fields[1].isdigit()):
+            raise TraceFormatError(f"bad size field {fields[1]!r}", lineno)
         if not math.isfinite(ts) or ts < 0:
             raise TraceFormatError(f"timestamp out of range: {ts}", lineno)
         if ts < prev:

@@ -13,7 +13,9 @@ instant its threshold fills (``cycle_at``); the engine inlines the same
 expressions in its loop.
 ``lindley_run`` serves every packet with the plain Lindley recursion, one
 Python step each; the engine, which serves long active stretches from the
-run's no-DRX schedule, must reproduce it bit for bit.
+run's no-DRX schedule, must reproduce it bit for bit.  Its adaptive runs
+read ``lambda_hat_series``, the rate estimate after every arrival, which the
+engine instead carries from one DRX boundary to the next.
 
 Timeline convention: a DRX cycle of length L consists of a low-power period
 of ``L - t_on`` followed by an on-duration of ``t_on`` that closes the cycle.
@@ -290,6 +292,30 @@ def release_at(cfg: DrxConfig, t0: float, t_q: float) -> float:
     return t0 + ck + clen - cfg.t_on  # next window start
 
 
+def lambda_hat_series(arrivals: Sequence[float], k_ema: float) -> list[float]:
+    """EMA arrival-rate estimate after each arrival; 0.0 means "none yet".
+
+    The first positive gap sets it to ``1/gap``; each later one updates it
+    to ``(1 - w) / gap + w * lambda_hat`` with ``w = exp(-gap / k_ema)``.
+    Zero gaps (tied timestamps) leave it unchanged.
+    """
+    out = [0.0] * len(arrivals)
+    est = 0.0
+    prev = -1.0
+    for idx, a in enumerate(arrivals):
+        if idx > 0:
+            gap = a - prev
+            if gap > 0.0:
+                if est == 0.0:
+                    est = 1.0 / gap
+                else:
+                    w = math.exp(-gap / k_ema)
+                    est = (1.0 - w) / gap + w * est
+        out[idx] = est
+        prev = a
+    return out
+
+
 def lindley_run(arrivals: Sequence[float], cfg: DrxConfig, policy: Policy,
                 horizon: float, psf: float = 1.0) -> engine.RunResult:
     """The engine's run, serving every packet one step at a time.
@@ -304,7 +330,7 @@ def lindley_run(arrivals: Sequence[float], cfg: DrxConfig, policy: Policy,
     if adaptive:
         state = ctrl.initial_state(
             policy.w_star, ctrl.q_max_from_bound(policy.w_max, psf))
-        lam_hat = engine._lambda_hat_series(A, 2.0 * policy.w_max)
+        lam_hat = lambda_hat_series(A, 2.0 * policy.w_max)
         q_w = state.q_w
     else:
         q_w = policy.q_w if policy.kind is PolicyKind.FIXED_COALESCING else 1.0

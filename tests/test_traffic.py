@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from drx_reference import lambda_hat_series
 from drxsim.engine import _lambda_hat_series
 from drxsim.traffic import (
     ArrivalStream,
@@ -293,9 +294,11 @@ class TestTrace:
             load_trace("1.0\noops\n")
         assert err.value.line == 2
 
-    def test_bad_size_field(self):
-        with pytest.raises(TraceFormatError):
-            load_trace("1.0,big\n")
+    @pytest.mark.parametrize("size", ["big", "-5", "1_000", "+7", ""])
+    def test_bad_size_field(self, size):
+        # Only ASCII digits, although int() takes "-5", "1_000" and "+7".
+        with pytest.raises(TraceFormatError, match="line 2"):
+            load_trace(f"0.5,60\n1.0,{size}\n")
 
     def test_too_many_fields(self):
         with pytest.raises(TraceFormatError):
@@ -317,26 +320,40 @@ class TestTrace:
             assert load_trace(serialize_trace(s)) == s
 
 
+# Gaps for estimator streams: ties, ordinary gaps, and gaps past 745 * k,
+# where exp(-gap / k) underflows to 0.0; drawn as multiples of k.
+_EMA_GAPS = st.one_of(st.just(0.0), st.floats(1e-6, 50.0),
+                      st.floats(746.0, 2000.0))
+
+
 class TestRateEstimator:
-    """The EMA series the adaptive controller reads (``engine``).
+    """The EMA estimate the adaptive controller reads (``engine``), carried
+    over ``A[lo:hi]`` from ``A[lo - 1]``.
 
     After the first positive gap sets it to ``1/gap``, each gap updates
     ``lambda_hat' = (1 - e^(-gap/k)) / gap + e^(-gap/k) * lambda_hat``.
     """
 
     def test_first_gap_sets_inverse_gap(self):
-        assert _lambda_hat_series([3.0, 7.0], 2048.0) == [0.0, 0.25]
-        assert _lambda_hat_series([3.0, 3.0, 7.0], 2048.0) == [0.0, 0.0, 0.25]
+        assert _lambda_hat_series([3.0, 7.0], 1, 2, 0.0, 2048.0) == 0.25
+        assert _lambda_hat_series([3.0, 3.0, 7.0], 1, 2, 0.0, 2048.0) == 0.0
+        assert _lambda_hat_series([3.0, 3.0, 7.0], 1, 3, 0.0, 2048.0) == 0.25
+        assert _lambda_hat_series([3.0, 3.0, 7.0], 2, 3, 0.0, 2048.0) == 0.25
+        assert _lambda_hat_series([3.0], 1, 1, 0.0, 2048.0) == 0.0
 
     def test_fixed_point(self):
-        out = _lambda_hat_series([0.0, 10.0, 20.0, 30.0], 2048.0)
-        assert out[2] == pytest.approx(0.1, rel=1e-12)
-        assert out[3] == pytest.approx(0.1, rel=1e-12)
+        A = [0.0, 10.0, 20.0, 30.0]
+        est = _lambda_hat_series(A, 1, 3, 0.0, 2048.0)
+        assert est == pytest.approx(0.1, rel=1e-12)
+        assert _lambda_hat_series(A, 3, 4, est, 2048.0) == pytest.approx(
+            0.1, rel=1e-12)
 
     def test_huge_gap_forgets_history(self):
-        out = _lambda_hat_series([0.0, 0.2, 0.2 + 1e7], 100.0)
-        assert out[1] == pytest.approx(5.0)
-        assert out[2] == pytest.approx(1e-7, rel=1e-6)
+        A = [0.0, 0.2, 0.2 + 1e7]
+        est = _lambda_hat_series(A, 1, 2, 0.0, 100.0)
+        assert est == pytest.approx(5.0)
+        assert _lambda_hat_series(A, 2, 3, est, 100.0) == pytest.approx(
+            1e-7, rel=1e-6)
 
     def test_convex_combination_property(self):
         # Each update lands between the previous estimate and 1/gap.
@@ -345,14 +362,41 @@ class TestRateEstimator:
             first = float(rng.uniform(0.5, 1e4))
             gap = float(rng.uniform(1e-3, 1e4))
             k = float(rng.uniform(1.0, 1e4))
-            prev, out = _lambda_hat_series([0.0, first, first + gap], k)[1:]
+            A = [0.0, first, first + gap]
+            prev = _lambda_hat_series(A, 1, 2, 0.0, k)
+            out = _lambda_hat_series(A, 2, 3, prev, k)
             lo, hi = min(prev, 1.0 / gap), max(prev, 1.0 / gap)
             assert lo - 1e-15 <= out <= hi + 1e-15
 
     def test_zero_gap_leaves_estimate_unchanged(self):
         # Tied timestamps, as traces can contain, carry no rate information.
-        out = _lambda_hat_series([0.0, 10.0, 10.0, 10.0], 2048.0)
-        assert out[2] == out[3] == out[1] == 0.1
+        A = [0.0, 10.0, 10.0, 10.0]
+        est = _lambda_hat_series(A, 1, 2, 0.0, 2048.0)
+        assert est == 0.1
+        assert _lambda_hat_series(A, 2, 4, est, 2048.0) == est
+        assert _lambda_hat_series([5.0, 5.0], 1, 2, 0.3, 2048.0) == 0.3
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(lead=st.integers(0, 3),
+           gaps=st.lists(_EMA_GAPS, max_size=40),
+           k=st.floats(1.0, 4096.0), cuts=st.lists(st.integers(1, 45)))
+    @example(lead=0, gaps=[], k=256.0, cuts=[])
+    @example(lead=0, gaps=[3.0], k=256.0, cuts=[1])
+    @example(lead=2, gaps=[0.0, 1000.0, 0.5], k=1.0, cuts=[1, 2, 3, 4, 5])
+    def test_carried_estimate_matches_the_series(self, lead, gaps, k, cuts):
+        # Carried over any cut points, the estimate at each cut is the
+        # reference series' entry there, bit for bit.
+        A = [0.0] * (lead + 1)
+        for g in gaps:
+            A.append(A[-1] + g * k)
+        n = len(A)
+        series = lambda_hat_series(A, k)
+        est, at = 0.0, 1
+        for cut in sorted({min(c, n) for c in cuts} | {n}):
+            est = _lambda_hat_series(A, at, cut, est, k)
+            at = cut
+            assert est.hex() == series[cut - 1].hex(), (cut, A)
 
 
 class TestArrivalStream:
