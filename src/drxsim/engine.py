@@ -14,19 +14,21 @@ An active stretch is served by a scalar loop for its first
 ``_SCALAR_HEAD`` packets and, if still open, from the run's no-DRX
 schedule ``G[k] = max(A_k, G[k-1] + psf)`` (Lindley 1952), built once per
 run when first needed.  Rounded ``+`` and ``max`` are monotone, so no
-packet starts before its ``G`` start; once one starts at it, the stretch
-repeats ``G``'s own operations up to ``G``'s next break (the next arrival
-misses the countdown), one lookup.  A backlog before that is served at
-``free, free + psf, ...``, one in-order ``np.add.accumulate`` per chunk.
-``G`` comes from the unrolled form ``k*psf + max(free, cummax(A_j -
-j*psf))``, one numpy pass per chunk checked against the recursion, which
-finishes a chunk where they differ (rarely at ``psf = 1``).  Delay sums
-add in packet order, so results are bit-identical to a per-packet loop's
-for any ``psf``.  Short stretches stay per packet, on a list that holds
-Python floats only where the loop reads (``None`` elsewhere): fills
-convert new arrivals, doubling while it walks on and small again past a
-jump; an adaptive run's rate estimate converts all of them.  An ``inf``
-sentinel after the last arrival ends the scalar loop without an index test.
+packet starts before its ``G`` start and a stretch ends only at a break of
+``G`` (the next arrival misses the countdown), so once ``G`` exists a
+stretch with no break within its head skips the loop.  From a packet that
+starts at its ``G`` start, the stretch follows ``G`` to its next break; a
+backlog before that is served at ``free, free + psf, ...``, one in-order
+``np.add.accumulate`` per chunk.  ``G`` is the unrolled form ``k*psf +
+max(0, cummax(A_j - j*psf))``, checked against the recursion in one pass,
+which repairs each miss until they agree again (rare at ``psf = 1``: where
+a busy period crosses a power of two).  Delay sums add in packet order, so
+results are bit-identical to a per-packet loop's for any ``psf``.  Short
+stretches stay per packet, on a list that holds Python floats only where
+the loop reads (``None`` elsewhere): fills convert new arrivals, doubling
+while it walks on and small again past a jump; an adaptive run's rate
+estimate converts all of them.  An ``inf`` sentinel after the last arrival
+ends the scalar loop without an index test.
 
 Every run returns one ``RunResult``: the metrics, the DRX configuration
 and starting threshold, each served packet's arrival (a view of the
@@ -228,10 +230,10 @@ def _lambda_hat_series(A: Sequence[float], lo: int, hi: int, est: float,
     return est
 
 
-# Each active stretch serves its first _SCALAR_HEAD packets in the scalar
-# loop; a stretch still open after that is served from the no-DRX schedule.
-# Array chunks (schedule build, backlog walk) start at this size and double.
-# Short stretches never pay for the array set-up.
+# An active stretch serves up to _SCALAR_HEAD packets in the scalar loop;
+# one still open after that is served from the no-DRX schedule.
+# The backlog walk's array chunks start at this size and double.  Short
+# stretches never pay for the array set-up.
 _SCALAR_HEAD = 128
 
 
@@ -249,27 +251,40 @@ def _no_drx_schedule(A: np.ndarray, psf: float, t_in: float
     misses the countdown, ``A[m+1] > (G[m] + psf) + t_in``, or the last m.
     """
     n = len(A)
-    G = np.empty(n)
-    free = 0.0
-    lo = 0
-    size = _SCALAR_HEAD
-    while lo < n:
-        hi = min(lo + size, n)
-        a = A[lo:hi]
-        r = np.arange(hi - lo) * psf
-        cand = r + np.maximum(free, np.maximum.accumulate(a - r))
-        prev = np.concatenate(([free], cand[:-1] + psf))
-        s = np.where(a > prev, a, prev)  # the loop's max(A_m, free)
-        if not np.array_equal(s, cand):  # s is exact up to the first miss
-            s = s[:int((s != cand).argmax()) + 1].tolist()
-            for x in a[len(s):].tolist():
-                f = s[-1] + psf
-                s.append(x if x > f else f)
-        G[lo:hi] = s
-        free = G[hi - 1] + psf
-        lo = hi
-        size *= 2
-    ends = np.flatnonzero(A[1:] > (G[:-1] + psf) + t_in)
+    F = np.arange(n) * psf
+    G = np.maximum.accumulate(A - F)
+    G = np.maximum(G, 0.0, out=G) + F  # the unrolled form
+    np.add(G, psf, out=F)  # each packet's free time
+    k = 0
+    for m in np.flatnonzero(np.maximum(A[1:], F[:-1]) != G[1:]).tolist():
+        if m < k:  # inside the last repair, or where it agreed again
+            continue
+        # The recursion from m + 1 until it agrees with G again (each entry
+        # past that was checked against a correct one): element reads at
+        # first, and doubling list blocks once a repair runs long.
+        k, f = m + 1, G.item(m) + psf
+        while k < n:
+            if k <= m + 8:
+                x = A.item(k)
+                x = x if x > f else f
+                if x == G.item(k):
+                    break
+                G[k], f, k = x, x + psf, k + 1
+                continue
+            out, size = [], k - m
+            for x, g in zip(A[k:k + size].tolist(), G[k:k + size].tolist()):
+                x = x if x > f else f
+                if x == g:
+                    break
+                out.append(x)
+                f = x + psf
+            G[k:k + len(out)] = out
+            k += len(out)
+            if len(out) < size:
+                break
+    if k:
+        np.add(G, psf, out=F)
+    ends = np.flatnonzero(A[1:] > F[:-1] + t_in)
     return G, np.append(ends, n - 1)
 
 
@@ -405,10 +420,13 @@ def simulate(arrivals: Sequence[float] | np.ndarray | tr.ArrivalStream,
         # Active: drain the backlog, then serve any arrival that lands
         # before the countdown runs out. Each service re-arms the countdown.
         # The scalar loop serves up to _SCALAR_HEAD packets; the no-DRX
-        # schedule serves the rest of a stretch still open then.  Past the
-        # last arrival the sentinel ends the stretch, so a loop that runs
-        # out has more packets behind it.
+        # schedule serves the rest of a stretch still open then, or all of
+        # it if G has no break before then.  Past the last arrival the
+        # sentinel ends the stretch, so a loop that runs out has more
+        # packets behind it.
         stop = i + _SCALAR_HEAD
+        if G is not None and breaks[breaks.searchsorted(i)] >= stop:
+            stop = i
         while i < stop:
             a = A[i]
             s = a if a > free else free

@@ -11,15 +11,15 @@ generator's 64-bit uniforms (``gap = x_m * (1 - U) ** (-1/shape)``), kept
 explicit here rather than through ``numpy.random.pareto`` so the draw count
 per gap is pinned to one and streams stay stable across numpy versions.
 
-A stream's arrivals are checked once, in vectorised form, when its
-``ArrivalStream`` is built (``check_arrivals``); ``engine.simulate``
-builds one for any other input.  Poisson, Pareto and schedule streams
-come from one renewal drawer (``_renewal``): it draws base variates in
-blocks and uses them in order, one per gap, and each arrival instant is
-the in-order running sum of the gaps from its segment's start
-(``np.cumsum`` adds in order, like a scalar loop).  So a stream does not
-depend on the block size or the horizon: drawn to a later horizon, it
-starts with the same instants.
+A stream's arrivals are checked once, when its ``ArrivalStream`` is built
+(``check_arrivals``: one comparison pass accepts a good stream, and only a
+bad one is searched for the index to name); ``engine.simulate`` builds one
+for any other input.  Poisson, Pareto and schedule streams come from one
+renewal drawer (``_renewal``): it draws base variates in blocks and uses
+them in order, one per gap, and each arrival instant is the in-order
+running sum of the gaps from its segment's start (``np.cumsum`` adds in
+order, like a scalar loop).  So a stream does not depend on the block size
+or the horizon: drawn to a later horizon, it starts with the same instants.
 """
 
 from __future__ import annotations
@@ -45,6 +45,10 @@ class TraceFormatError(ValueError):
 def check_arrivals(arrivals: np.ndarray) -> None:
     """Raise ``ValueError`` unless the instants are finite and nondecreasing
     from 0 (so the first one is >= 0); errors name the first bad index."""
+    if arrivals.ndim == 1 and (not len(arrivals) or (
+            arrivals[0] >= 0.0 and arrivals[-1] < math.inf
+            and (arrivals[1:] >= arrivals[:-1]).all())):
+        return
     if arrivals.ndim != 1:
         raise ValueError(f"arrivals must be one-dimensional, got shape "
                          f"{arrivals.shape}")
@@ -273,9 +277,9 @@ def load_trace(text: str) -> ArrivalStream:
 
     One arrival per line: ``timestamp_ms`` optionally followed by
     ``,size_bytes``.  Lines starting with ``#`` and blank lines are skipped.
-    Timestamps are decimal milliseconds and must be nondecreasing.  The size
-    column, ASCII digits only, is checked and ignored (service is one PSF per
-    packet regardless).
+    Timestamps are decimal milliseconds, ASCII digits with at most one
+    ``.``, and must be nondecreasing.  The size column, ASCII digits only,
+    is checked and ignored (service is one PSF per packet regardless).
     Empty input gives an empty stream.
     """
     arrivals: list[float] = []
@@ -289,12 +293,10 @@ def load_trace(text: str) -> ArrivalStream:
             raise TraceFormatError(
                 f"expected 'timestamp[,size]', got {len(fields)} fields", lineno
             )
-        try:
-            ts = float(fields[0])
-        except ValueError:
-            raise TraceFormatError(
-                f"bad timestamp {fields[0]!r}", lineno
-            ) from None
+        if not (fields[0].isascii()
+                and fields[0].replace(".", "", 1).isdigit()):
+            raise TraceFormatError(f"bad timestamp {fields[0]!r}", lineno)
+        ts = float(fields[0])
         if len(fields) == 2 and not (
                 fields[1].isascii() and fields[1].isdigit()):
             raise TraceFormatError(f"bad size field {fields[1]!r}", lineno)

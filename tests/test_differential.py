@@ -190,7 +190,7 @@ def _bits_of(r):
          head=1)
 # psf = 0.7 is inexact in binary, so the unrolled schedule drifts off the
 # recursion: its start for packet 7 is 4.8999999999999995, not 4.9, and
-# the recursion finishes the chunk.  The stretch ends after packet 8, whose
+# the recursion repairs it.  The stretch ends after packet 8, whose
 # start 4.9 + 0.7 = 5.6000000000000005 is computed from packet 7's.
 @example(arrivals=[0.5 * k for k in range(9)] + [100.0],
          cfg=DrxConfig(10, 2, 32, 32), policy=Policy.standard(), psf=0.7,
@@ -270,6 +270,8 @@ def _recursion(A, psf):
        t_in=st.sampled_from([0.0, 0.5, 10.0]))
 # An arrival exactly at the end of the countdown is no break.
 @example(arrivals=[0.0, 11.0], psf=1.0, t_in=10.0)
+# A leading -0.0 starts at +0.0, as the loop's max(A_0, 0.0) does.
+@example(arrivals=[-0.0, -0.0, 0.5], psf=0.7, t_in=0.0)
 def test_no_drx_schedule_is_the_recursion(arrivals, psf, t_in):
     A = np.array(arrivals, dtype=np.float64)
     G, breaks = engine._no_drx_schedule(A, psf, t_in)
@@ -279,10 +281,68 @@ def test_no_drx_schedule_is_the_recursion(arrivals, psf, t_in):
                                or A[m + 1] > (want[m] + psf) + t_in]
 
 
+def _unrolled(A, psf):
+    # The closed form G[k] = k*psf + max(0, max_j<=k (A[j] - j*psf)), one
+    # rounding per term where the recursion rounds at every step.
+    r = np.arange(len(A)) * psf
+    return r + np.maximum(np.maximum.accumulate(A - r), 0.0)
+
+
+def _breaks(A, G, psf, t_in):
+    return [m for m in range(len(A)) if m == len(A) - 1
+            or A[m + 1] > (G[m] + psf) + t_in]
+
+
+def _runs(mask):
+    # The lengths of the runs of True in a boolean array.
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], mask, [0]))))
+    return edges[1::2] - edges[::2]
+
+
+@pytest.mark.parametrize("ties", [1030, 1100])
+def test_no_drx_schedule_repairs_power_of_two_crossing(ties):
+    # A busy period from 0.043 past 1,024 ms at psf 1.  The unrolled form
+    # rounds k + 0.043 once, the recursion at each power of two it
+    # crosses, and from packet 1,024 on they differ in the last bit: 6
+    # packets (read one by one), or 76 (then in list blocks).  The next
+    # arrival comes exactly as the true countdown ends, so it is no
+    # break; read off the unrolled form's free time it would be one.
+    t_in = 10.0
+    busy = [0.043] * ties
+    want = _recursion(busy, 1.0)
+    A = np.array(busy + [(want[-1] + 1.0) + t_in])
+    A = np.append(A, A[-1] + 50.0)
+    unrolled = _unrolled(A, 1.0)
+    differs = unrolled[:ties] != want
+    assert differs.tolist() == [False] * 1024 + [True] * (ties - 1024)
+    assert A[ties] > (unrolled[ties - 1] + 1.0) + t_in
+    G, breaks = engine._no_drx_schedule(A, 1.0, t_in)
+    want = _recursion(A.tolist(), 1.0)
+    assert _bits(G.tolist()) == _bits(want)
+    assert breaks.tolist() == _breaks(A, want, 1.0, t_in) == [ties, ties + 1]
+
+
+@pytest.mark.parametrize("psf, short", [(0.7, True), (1.3, False)])
+def test_no_drx_schedule_repairs_drift(psf, short):
+    # Poisson 0.9: at psf 0.7 the unrolled form drifts off the recursion
+    # every few packets and back, at psf 1.3 (load 1.17) for thousands on
+    # end; each stretch where they differ is repaired by the recursion.
+    A = make_arrivals(PoissonTraffic(0.9), 20000.0, 1).arrivals
+    want = np.array(_recursion(A.tolist(), psf))
+    runs = _runs(_unrolled(A, psf) != want)
+    if short:
+        assert len(runs) > 1000 and runs.max() < 100
+    else:
+        assert runs.max() > 1000
+    G, breaks = engine._no_drx_schedule(A, psf, 10.0)
+    assert _bits(G.tolist()) == _bits(want.tolist())
+    assert breaks.tolist() == _breaks(A, want, psf, 10.0)
+
+
 @pytest.mark.parametrize("psf", [0.5, 0.7, 1.0, 2.0])
 def test_no_drx_schedule_long_stream(psf):
-    # Over 10k arrivals: many doubling chunks, with and without misses of
-    # the unrolled form (psf 0.7 misses every few packets).
+    # Over 10k arrivals, with and without misses of the unrolled form
+    # (psf 0.7 misses every few packets).
     A = make_arrivals(PoissonTraffic(0.9 / psf), 13000.0 * psf, 3).arrivals
     assert len(A) > 10_000
     G, _ = engine._no_drx_schedule(A, psf, 10.0)
@@ -299,6 +359,23 @@ def test_no_packet_starts_before_its_schedule(arrivals, cfg, policy, psf):
     r = simulate(arrivals, cfg, policy, HORIZON, psf)
     G, _ = engine._no_drx_schedule(r.arrivals, psf, cfg.t_in)
     assert np.all(r.tx_starts >= G)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(arrivals=arrival_lists, cfg=configs(),
+       policy=st.one_of(policies, adaptive_policies), psf=psfs)
+def test_stretches_end_at_schedule_breaks(arrivals, cfg, policy, psf):
+    # The premise of skipping the scalar head: an active stretch ends only
+    # at a break of the no-DRX schedule, so one with no break within the
+    # head's reach outlasts it.  Every boundary after the first follows a
+    # served packet, and that packet is a break.
+    r = simulate(arrivals, cfg, policy, HORIZON, psf)
+    A = np.array([a for a in arrivals if a < HORIZON])
+    _, breaks = engine._no_drx_schedule(A, psf, cfg.t_in)
+    last = np.searchsorted(r.tx_starts, r.boundaries[1:]) - 1
+    assert np.all(last >= 0)
+    assert set(last.tolist()) <= set(breaks.tolist())
 
 
 @st.composite

@@ -388,6 +388,53 @@ class TestArrayPath:
         assert built == [1]
         assert sum(served) > 0.9 * m.packets_served > 0
 
+    def _schedule_entries(self, monkeypatch, policy, rate):
+        # Where each call of the schedule path started, as (first packet
+        # of its stretch, packet it started at, next break of G from the
+        # former), for every call after the one that built G.
+        calls = []
+        serve = engine._serve_from_schedule
+
+        def spy(A, G, breaks, i, *rest):
+            calls.append((i, breaks))
+            return serve(A, G, breaks, i, *rest)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "_serve_from_schedule", spy)
+            r = _result(policy, rate=rate, horizon=25000.0)
+        firsts = [0] + [int(np.searchsorted(r.tx_starts, e))
+                        for e in r.stretch_ends]
+        out = []
+        for i, breaks in calls[1:]:
+            first = firsts[bisect_right(firsts, i) - 1]
+            out.append((first, i,
+                        int(breaks[np.searchsorted(breaks, first)])))
+        return out
+
+    @pytest.mark.parametrize("policy", [
+        Policy.standard(), Policy.fixed(128), Policy.adaptive(64, 128)],
+        ids=["standard", "fixed128", "adaptive"])
+    def test_dense_stretches_skip_the_scalar_head(self, monkeypatch, policy):
+        # Once G exists, a stretch whose next break of G lies a whole head
+        # on is served from G from its first packet: no scalar loop.
+        entries = self._schedule_entries(monkeypatch, policy, 0.7)
+        assert entries
+        assert all(i == first for first, i, _ in entries)
+
+    @pytest.mark.parametrize("rate", [0.3, 0.5])
+    def test_scalar_head_runs_only_before_a_break(self, monkeypatch, rate):
+        # A stretch that DRX delayed can outlast a break of G; only then
+        # does the scalar loop serve its head before the schedule.
+        head = engine._SCALAR_HEAD
+        entries = []
+        for policy in (Policy.standard(), Policy.fixed(8),
+                       Policy.adaptive(512, 1024)):
+            entries += self._schedule_entries(monkeypatch, policy, rate)
+        assert any(i == first for first, i, _ in entries)
+        for first, i, brk in entries:
+            assert (i == first) == (brk >= first + head)
+            assert i in (first, first + head)
+
     def _converted(self, monkeypatch, policy, rate, horizon):
         # The scalar loop's arrivals that became Python floats, one index
         # per conversion, and the run's arrival count.

@@ -26,13 +26,19 @@ from drxsim.traffic import (
     ScheduleTraffic,
     TraceFormatError,
     TraceTraffic,
+    check_arrivals,
     load_trace,
 )
 
 
 def serialize_trace(stream: ArrivalStream) -> str:
-    """Inverse of ``load_trace`` for valid streams (timestamps only)."""
-    return "".join(f"{t!r}\n" for t in stream.arrivals.tolist())
+    """Inverse of ``load_trace`` for valid streams (timestamps only).
+
+    Positional, never ``repr``'s exponent form (``1e-05``), which a trace
+    may not use; the shortest digits still round-trip.
+    """
+    return "".join(np.format_float_positional(t, trim="-") + "\n"
+                   for t in stream.arrivals.tolist())
 
 
 def _gaps(stream: ArrivalStream) -> np.ndarray:
@@ -300,6 +306,23 @@ class TestTrace:
         with pytest.raises(TraceFormatError, match="line 2"):
             load_trace(f"0.5,60\n1.0,{size}\n")
 
+    # A timestamp is ASCII digits with at most one ".", although float()
+    # also takes underscores, non-ASCII digits, signs, spaces around the
+    # number, exponents and "inf"; a sign fails here, before the range check.
+    @pytest.mark.parametrize("ts", [
+        "1_0.5", "\u0661.5", "1\uff15", "\u00b2", "+1.5", "-1.5", "-0",
+        "1 5", "1.5 ", "1.5e0", "1E3", "inf", "nan", "0x10", "1.2.3", ".",
+        ""])
+    def test_bad_timestamp_rejected(self, ts):
+        with pytest.raises(TraceFormatError) as err:
+            load_trace(f"0.5\n{ts},60\n")
+        assert str(err.value) == f"line 2: bad timestamp {ts!r}"
+
+    @pytest.mark.parametrize("ts, want", [("7", 7.0), ("7.", 7.0),
+                                          (".5", 0.5), ("0012.50", 12.5)])
+    def test_decimal_timestamp_forms(self, ts, want):
+        assert load_trace(f"{ts}\n").arrivals.tolist() == [want]
+
     def test_too_many_fields(self):
         with pytest.raises(TraceFormatError):
             load_trace("1.0,2,3\n")
@@ -397,6 +420,62 @@ class TestRateEstimator:
             est = _lambda_hat_series(A, at, cut, est, k)
             at = cut
             assert est.hex() == series[cut - 1].hex(), (cut, A)
+
+
+def _stream_error(a: np.ndarray) -> str | None:
+    # The message check_arrivals must raise for ``a``, or None if the
+    # stream is good: one-dimensional, every instant finite, and none below
+    # the one before it (the first one below 0.0; -0.0 is not).
+    if a.ndim != 1:
+        return f"arrivals must be one-dimensional, got shape {a.shape}"
+    values = a.tolist()
+    for i, x in enumerate(values):
+        if not math.isfinite(x):
+            return f"arrival at index {i} is not finite: {a[i]}"
+    for i, x in enumerate(values):
+        prev = a[i - 1] if i else 0.0
+        if x < prev:
+            return f"arrivals not sorted at index {i}: {a[i]} < {prev}"
+    return None
+
+
+@st.composite
+def checked_arrays(draw):
+    # Sorted streams with ties, then at random positions: a NaN or an
+    # infinity, a leading -0.0, a descent; sometimes empty or made 2-D.
+    values = sorted(draw(st.lists(st.one_of(
+        st.floats(0.0, 1e6), st.sampled_from([0.0, 1.0, 2.5])), max_size=12)))
+    if values and draw(st.booleans()):
+        values[0] = -0.0
+    for special in draw(st.lists(st.sampled_from(
+            [math.nan, math.inf, -math.inf, -1.0, -0.0, 5e-324]), max_size=2)):
+        values.insert(draw(st.integers(0, len(values))), special)
+    if len(values) > 1 and draw(st.booleans()):
+        i = draw(st.integers(1, len(values) - 1))
+        values[i - 1], values[i] = values[i], values[i - 1]
+    a = np.array(values, dtype=np.float64)
+    if draw(st.integers(0, 5)) == 0:
+        a = a.reshape(draw(st.sampled_from([(1, -1), (-1, 1), (1, 1, -1)])))
+    return a
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(a=checked_arrays())
+@example(a=np.array([-0.0, 0.0, 0.0]))
+@example(a=np.array([0.0, math.inf]))
+@example(a=np.array([math.nan]))
+@example(a=np.array([1.0, -math.inf, 2.0]))
+@example(a=np.empty(0))
+@example(a=np.empty((0, 2)))
+@example(a=np.zeros((2, 2)))
+def test_check_arrivals_matches_reference(a):
+    want = _stream_error(a)
+    if want is None:
+        check_arrivals(a)
+    else:
+        with pytest.raises(ValueError) as err:
+            check_arrivals(a)
+        assert str(err.value) == want
 
 
 class TestArrivalStream:
