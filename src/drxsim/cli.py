@@ -351,7 +351,9 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> list[ResultRow]:
     if jobs <= 1 or len(points) <= 1:
         results = map(_point_rows, repeat(spec), policies, traffics, reports)
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        # A fork pool starts every worker up front, so none beyond the points.
+        workers = min(jobs, len(points))
+        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
             results = list(pool.map(_point_rows, repeat(spec), policies,
                                     traffics, reports))
     return [row for rows in results for row in rows]

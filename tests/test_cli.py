@@ -347,6 +347,31 @@ class TestRunExperiment:
             spec = parse_spec(text)
             assert run_experiment(spec, jobs=2) == run_experiment(spec, jobs=1)
 
+    def test_workers_capped_at_points(self, monkeypatch):
+        # A stand-in pool records its size and maps in this process, so no
+        # worker starts.
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+                            Pool)
+        spec = parse_spec(MINIMAL)  # two points
+        serial = run_experiment(spec, jobs=1)
+        assert run_experiment(spec, jobs=8) == serial
+        assert run_experiment(spec, jobs=2) == serial
+        assert sizes == [2, 2]
+
 
 class TestCsv:
     def _rows(self):
