@@ -36,7 +36,9 @@ checked input) and transmission start, and each DRX stretch as its enable
 instant (``boundaries``), threshold and end (``stretch_ends``: the release
 instant, or the horizon).  ``slice_stats`` reads the statistics of any
 window off that shape alone, and a run's metrics are its statistics over
-[0, horizon); the loop sums only each cycle's delay, for the controller.
+[0, horizon).  The loop sums each cycle's delay only for the adaptive
+controller: standard and fixed runs, whose threshold never moves, take a
+scalar loop without that sum.
 Sleep comes from an elementwise form of the cycle geometry (``_sleep_in``),
 each term bit-identical to a per-stretch scalar walk.  Every sum over one
 run is in order (``_running_sum``), never Python's ``sum``, which is
@@ -127,10 +129,11 @@ class Metrics:
     packets_served: int
     arrivals: int
     # One entry per coalescing cycle k, which ends at boundary b[k] and is
-    # the window [b[k-1], b[k]) (b[-1] = 0): (that window's ``slice_stats``
-    # mean delay, bit for bit, or None if the window is empty or serves no
-    # packet; the threshold that governed it, ``(initial_threshold,) +
-    # thresholds`` at k).
+    # the window [b[k-1], b[k]) (b[-1] = 0): (the mean delay the adaptive
+    # controller read there, that window's ``slice_stats`` mean bit for bit,
+    # or None if the window is empty or serves no packet, and always None
+    # in standard and fixed runs, which read none; the threshold that
+    # governed it, ``(initial_threshold,) + thresholds`` at k).
     per_cycle: tuple[tuple[float | None, float], ...]
 
 
@@ -366,7 +369,7 @@ def simulate(arrivals: Sequence[float] | np.ndarray | tr.ArrivalStream,
         tx.append, boundaries.append, thresholds.append, stretch_ends.append,
         per_cycle.append)
 
-    c_dsum = 0.0
+    c_dsum = 0.0  # the current cycle's delay sum, for the controller
     c_first = 0  # the first packet of the current cycle
     free = 0.0
     i = 0
@@ -384,19 +387,20 @@ def simulate(arrivals: Sequence[float] | np.ndarray | tr.ArrivalStream,
             # Queue empty and no arrival inside the countdown: DRX next.
             if expiry >= horizon:
                 break
-            w_hat = c_dsum / (i - c_first) if i > c_first else None
-            cycle_add((w_hat, q_w))
-            if adaptive and i > c_first:
-                lam_hat = _lambda_hat_series(A, lam_at, i, lam_hat, k_ema)
-                lam_at = i
-                if lam_hat > 0.0:
-                    state = ctrl.update_threshold(state, lam_hat, w_hat)
-                    q_w = state.q_w
-                    q_less = math.ceil(q_w) - 1
+            if adaptive:
+                w_hat = c_dsum / (i - c_first) if i > c_first else None
+                cycle_add((w_hat, q_w))
+                if w_hat is not None:
+                    lam_hat = _lambda_hat_series(A, lam_at, i, lam_hat, k_ema)
+                    lam_at = i
+                    if lam_hat > 0.0:
+                        state = ctrl.update_threshold(state, lam_hat, w_hat)
+                        q_w = state.q_w
+                        q_less = math.ceil(q_w) - 1
+                thresh_add(q_w)
+                c_dsum = 0.0
+                c_first = i
             bound_add(expiry)
-            thresh_add(q_w)
-            c_dsum = 0.0
-            c_first = i
             j = i + q_less
             end = horizon
             if j < n:
@@ -417,42 +421,64 @@ def simulate(arrivals: Sequence[float] | np.ndarray | tr.ArrivalStream,
                 break
             end_add(end)
             free = end
-        # Active: drain the backlog, then serve any arrival that lands
-        # before the countdown runs out. Each service re-arms the countdown.
-        # The scalar loop serves up to _SCALAR_HEAD packets; the no-DRX
-        # schedule serves the rest of a stretch still open then, or all of
-        # it if G has no break before then.  Past the last arrival the
-        # sentinel ends the stretch, so a loop that runs out has more
-        # packets behind it.
-        stop = i + _SCALAR_HEAD
-        if G is not None and breaks[breaks.searchsorted(i)] >= stop:
-            stop = i
-        while i < stop:
-            a = A[i]
-            s = a if a > free else free
-            if s >= horizon:
-                done = True
-                break
-            tx_add(s)
-            c_dsum += s - a
-            free = s + psf
-            i += 1
-            if A[i] > free + t_in:
-                break
-        else:
+        elif i:
+            # No boundary, and not the run's first stretch (the only one
+            # that starts so at i = 0): the scalar loop below ran out, or
+            # was skipped, with the stretch still open.  The no-DRX
+            # schedule serves the rest of it.
             if G is None:
                 G, breaks = _no_drx_schedule(A_arr, psf, t_in)
             starts, free, done = _serve_from_schedule(
                 A_arr, G, breaks, i, free, psf, t_in, horizon)
             m = i + len(starts)
-            c_dsum = _running_sum(c_dsum, starts - A_arr[i:m])
+            if adaptive:
+                c_dsum = _running_sum(c_dsum, starts - A_arr[i:m])
             tx_parts += (np.fromiter(tx, float, len(tx)), starts)
             tx = []
             tx_add = tx.append
             i = m
+            continue
+        # Active: drain the backlog, then serve any arrival that lands
+        # before the countdown runs out. Each service re-arms the countdown.
+        # The scalar loop serves up to _SCALAR_HEAD packets, or none if G
+        # has no break before then; the no-DRX schedule serves the rest of
+        # a stretch still open.  Past the last arrival the sentinel ends
+        # the stretch, so a loop that runs out has more packets behind it.
+        # Only the adaptive loop sums the cycle's delay.
+        stop = i + _SCALAR_HEAD
+        if G is not None and breaks[breaks.searchsorted(i)] >= stop:
+            stop = i
+        if adaptive:
+            while i < stop:
+                a = A[i]
+                s = a if a > free else free
+                if s >= horizon:
+                    done = True
+                    break
+                tx_add(s)
+                c_dsum += s - a
+                free = s + psf
+                i += 1
+                if A[i] > free + t_in:
+                    break
+        else:
+            while i < stop:
+                a = A[i]
+                s = a if a > free else free
+                if s >= horizon:
+                    done = True
+                    break
+                tx_add(s)
+                free = s + psf
+                i += 1
+                if A[i] > free + t_in:
+                    break
     tx_parts.append(np.fromiter(tx, float, len(tx)))
     tx_starts = np.concatenate(tx_parts)
     tx_starts.flags.writeable = False
+    if not adaptive:  # the threshold never moves
+        thresholds = [q_w] * len(boundaries)
+        per_cycle = [(None, q_w)] * len(boundaries)
 
     # Every packet before i was served, and none after.
     result = RunResult(None, cfg, horizon, initial_q, tuple(boundaries),

@@ -15,7 +15,9 @@ expressions in its loop.
 Python step each; the engine, which serves long active stretches from the
 run's no-DRX schedule, must reproduce it bit for bit.  Its adaptive runs
 read ``lambda_hat_series``, the rate estimate after every arrival, which the
-engine instead carries from one DRX boundary to the next.
+engine instead carries from one DRX boundary to the next.  It sums every
+cycle's delay under every policy, where the engine sums it only for the
+adaptive controller; ``lindley_cycle_means`` returns those means.
 
 Timeline convention: a DRX cycle of length L consists of a low-power period
 of ``L - t_on`` followed by an on-duration of ``t_on`` that closes the cycle.
@@ -322,8 +324,25 @@ def lindley_run(arrivals: Sequence[float], cfg: DrxConfig, policy: Policy,
 
     Active stretches follow ``s = max(A_i, free)``, ``free = s + psf``
     until the next arrival misses the countdown; DRX stretches release as
-    the engine's conventions say.  Every float sum is added in order.
+    the engine's conventions say.  Every float sum is added in order.  The
+    delay in ``Metrics.per_cycle`` is the one the controller read, so it is
+    None under standard and fixed policies.
     """
+    return _lindley(arrivals, cfg, policy, horizon, psf)[0]
+
+
+def lindley_cycle_means(arrivals: Sequence[float], cfg: DrxConfig,
+                        policy: Policy, horizon: float, psf: float = 1.0
+                        ) -> tuple[float | None, ...]:
+    """``lindley_run``'s mean delay of each coalescing cycle, under any
+    policy: one entry per DRX boundary, None for a cycle that served no
+    packet."""
+    return _lindley(arrivals, cfg, policy, horizon, psf)[1]
+
+
+def _lindley(arrivals: Sequence[float], cfg: DrxConfig, policy: Policy,
+             horizon: float, psf: float
+             ) -> tuple[engine.RunResult, tuple[float | None, ...]]:
     A = [float(a) for a in arrivals if a < horizon]
     n = len(A)
     adaptive = policy.kind is PolicyKind.ADAPTIVE_COALESCING
@@ -340,6 +359,7 @@ def lindley_run(arrivals: Sequence[float], cfg: DrxConfig, policy: Policy,
     thresholds: list[float] = []
     ends: list[float] = []
     per_cycle: list[tuple[float | None, float]] = []
+    means: list[float | None] = []
     delay_sum = c_dsum = 0.0
     c_cnt = 0
     free = 0.0
@@ -351,7 +371,8 @@ def lindley_run(arrivals: Sequence[float], cfg: DrxConfig, policy: Policy,
             if expiry >= horizon:
                 break
             w_hat = c_dsum / c_cnt if c_cnt else None
-            per_cycle.append((w_hat, q_w))
+            means.append(w_hat)
+            per_cycle.append((w_hat if adaptive else None, q_w))
             if adaptive and w_hat is not None and i > 0 and lam_hat[i - 1] > 0.0:
                 state = ctrl.update_threshold(state, lam_hat[i - 1], w_hat)
                 q_w = state.q_w
@@ -395,6 +416,7 @@ def lindley_run(arrivals: Sequence[float], cfg: DrxConfig, policy: Policy,
     )
     tx_starts = np.array(tx)
     tx_starts.flags.writeable = False
-    return engine.RunResult(metrics, cfg, horizon, initial_q,
-                            tuple(boundaries), tuple(thresholds),
-                            np.array(A[:i]), tuple(ends), tx_starts)
+    result = engine.RunResult(metrics, cfg, horizon, initial_q,
+                              tuple(boundaries), tuple(thresholds),
+                              np.array(A[:i]), tuple(ends), tx_starts)
+    return result, tuple(means)

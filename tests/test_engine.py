@@ -19,6 +19,7 @@ from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
+from drx_reference import lindley_cycle_means
 
 from drxsim import controller as ctrl
 from drxsim import engine, traffic
@@ -259,10 +260,13 @@ class TestMetricsFields:
         assert any(w is not None for w, _ in m.per_cycle)
 
     def test_per_cycle_thresholds_match(self):
-        # per_cycle[k] is cycle k's window [b[k-1], b[k]) (b[-1] = 0): its
+        # per_cycle[k] is cycle k's window [b[k-1], b[k]) (b[-1] = 0): the
+        # delay the controller read there and the threshold in effect, the
+        # post-update value at the previous boundary.  An adaptive run's
         # delay is that window's slice_stats mean, bit for bit (None where
-        # the window is empty or serves nothing), and its threshold the one
-        # in effect there, the post-update value at the previous boundary.
+        # the window is empty or serves nothing).  Standard and fixed runs
+        # read none, so their entries are (None, q); their windows'
+        # slice_stats means equal the reference's per-cycle means instead.
         # With t_in 0 the first boundary is at 0, an empty first window; at
         # 0.05 the first arrival comes after t_in 10, an unserved one.
         short = DrxConfig(t_in=0, t_on=2, t_short=8, t_long=32, n_short=3)
@@ -271,11 +275,19 @@ class TestMetricsFields:
                 (CFG, short), (1.0, 0.7),
                 (Policy.standard(), Policy.fixed(2.5),
                  Policy.adaptive(64, 128)), (0.05, 0.4)):
-            r = run_detailed(Scenario(cfg, policy, PoissonTraffic(rate),
-                                      10000.0, psf), 1)
+            stream = PoissonTraffic(rate).arrivals(10000.0, 1)
+            r = simulate(stream, cfg, policy, 10000.0, psf)
             b = r.boundaries
             assert len(r.metrics.per_cycle) == len(b) > 10
-            for k, (w, q) in enumerate(r.metrics.per_cycle):
+            adaptive = policy.kind is PolicyKind.ADAPTIVE_COALESCING
+            if adaptive:
+                means = [w for w, _ in r.metrics.per_cycle]
+            else:
+                assert r.metrics.per_cycle == ((None, policy.q_w),) * len(b)
+                means = lindley_cycle_means(stream.arrivals, cfg, policy,
+                                            10000.0, psf)
+            assert len(means) == len(b)
+            for k, ((_, q), w) in enumerate(zip(r.metrics.per_cycle, means)):
                 start = b[k - 1] if k else 0.0
                 if start == b[k]:
                     windows["empty"] += 1
@@ -286,6 +298,30 @@ class TestMetricsFields:
                 assert w == (None if math.isnan(delay) else delay)
                 assert q == ((r.initial_threshold,) + r.thresholds)[k]
         assert windows["empty"] and windows["unserved"]
+
+    def test_static_runs_record_no_cycle_delay(self):
+        # Only the adaptive controller reads a cycle's delay; standard and
+        # fixed runs keep one (None, q) entry per cycle, and their constant
+        # thresholds.  At rate 0.5 the no-DRX schedule serves long stretches;
+        # at 0.1 the scalar loop serves nearly all of them.
+        for policy, rate in itertools.product(
+                (Policy.standard(), Policy.fixed(3), Policy.fixed(300)),
+                (0.1, 0.5)):
+            r = _result(policy, rate=rate)
+            q = policy.q_w
+            assert len(r.boundaries) > 5
+            assert r.metrics.per_cycle == ((None, q),) * len(r.boundaries)
+            assert r.thresholds == (q,) * len(r.boundaries)
+        # DRX is enabled at 15, 56 and 97; the packets at 20 and 60 wait
+        # for the windows at 45 and 86.  An adaptive run that keeps
+        # threshold 1 reads those delays; a fixed one records none.
+        arrivals = [4.0, 20.0, 60.0]
+        r = simulate(arrivals, CFG, Policy.fixed(1), 200.0)
+        assert r.boundaries == (15.0, 56.0, 97.0)
+        assert r.metrics.per_cycle == ((None, 1.0),) * 3
+        r = simulate(arrivals, CFG, Policy.adaptive(4, 8), 200.0)
+        assert r.boundaries == (15.0, 56.0, 97.0)
+        assert r.metrics.per_cycle == ((0.0, 1.0), (25.0, 1.0), (26.0, 1.0))
 
     def test_float_means_add_in_order(self):
         # Python's sum() is compensated from CPython 3.12 on.  Every mean
